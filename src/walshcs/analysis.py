@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +24,6 @@ def coherence(section):
     if section.size == 0:
         raise ValueError("coherence of an empty section is undefined")
     return float(np.max(np.abs(section)) ** 2)
-
-
-def _full_rows(op, band):
-    """Rows of the operator over all 2^Q columns, one at a time."""
-    for i in band:
-        yield i, op.apply_adjoint(np.ones(1), np.array([i]), L=1 << op.Q)
 
 
 @dataclass
@@ -63,12 +57,13 @@ def coherence_report(op):
     tail_max = np.zeros(r)
     row_max = np.zeros(r)
     for k in range(1, r + 1):
-        for _, row in _full_rows(op, range(int(n[k - 1]), int(n[k]))):
-            a = np.abs(row)
+        band = np.arange(int(n[k - 1]), int(n[k]))
+        for batch in op.batches(band.size):
+            a = np.abs(op.rows_dense(band[batch], 1 << op.Q))
             row_max[k - 1] = max(row_max[k - 1], a.max())
-            tail_max[k - 1] = max(tail_max[k - 1], a[int(m[r - 1]) :].max())
+            tail_max[k - 1] = max(tail_max[k - 1], a[:, int(m[r - 1]) :].max())
             for l in range(1, r + 1):
-                seg = a[int(m[l - 1]) : int(m[l])]
+                seg = a[:, int(m[l - 1]) : int(m[l])]
                 block_max[k - 1, l - 1] = max(block_max[k - 1, l - 1], seg.max())
     mu = np.sqrt(block_max**2 * row_max[:, None] ** 2)
     mu_inf = np.sqrt(tail_max**2 * row_max**2)
@@ -246,11 +241,12 @@ def balancing_check(op, N, M, K, s):
     rows_n = np.arange(N)
     abs_acc = np.zeros(n_grid)
     head = np.empty((M, M))
-    for j in range(M):
-        y = op.column(j)[:N]
+    for batch in op.batches(M):
+        # U* P_N U e_j for a batch of columns j
+        y = np.array([op.column(j)[:N] for j in range(M)[batch]])
         w = op.apply_adjoint(y, rows_n, L=n_grid)
-        abs_acc += np.abs(w)
-        head[:, j] = w[:M]
+        abs_acc += np.abs(w).sum(axis=0)
+        head[:, batch] = w[:, :M].T
     norm_head = float(np.max(np.abs(head - np.eye(M)).sum(axis=1)))
     norm_tail = float(abs_acc[M:].max()) if n_grid > M else 0.0
     threshold_head = 0.125 / math.sqrt(math.log(4.0 * math.sqrt(s) * K * M))
@@ -271,12 +267,11 @@ def balancing_check(op, N, M, K, s):
 
 def column_tail_norms(op, N, M_band=None):
     """Norms ||P_N U e_m||_2 for every column m below the band (default 2^Q)."""
-    n_grid = 1 << op.Q
-    band = n_grid if M_band is None else M_band
+    band = 1 << op.Q if M_band is None else M_band
+    rows = np.arange(N)
     acc = np.zeros(band)
-    for i in range(N):
-        row = op.apply_adjoint(np.ones(1), np.array([i]), L=band)
-        acc += row**2
+    for batch in op.batches(N):
+        acc += (op.rows_dense(rows[batch], band) ** 2).sum(axis=0)
     return np.sqrt(acc)
 
 

@@ -143,6 +143,14 @@ def _reconstruct_once(op, scheme, sig, cfg):
     return result, grid, reconstruct.relative_l2_error(grid, sig)
 
 
+def _truncated_walsh(op, scheme, sig):
+    """Truncated Walsh baseline from the first |scheme| samples, and its error."""
+    tw = reconstruct.truncated_walsh(
+        reconstruct.measure_signal(sig, np.arange(scheme.total)).values, op.Q
+    )
+    return tw, reconstruct.relative_l2_error(tw, sig)
+
+
 def _summary_line(path, record):
     with open(path, "w") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -223,10 +231,7 @@ def cmd_reconstruct(args):
     write_matrix_csv(
         result.coeffs.reshape(1, -1), os.path.join(args.out, f"coeffs_{tag}.csv")
     )
-    tw = reconstruct.truncated_walsh(
-        reconstruct.measure_signal(sig, np.arange(scheme.total)).values, op.Q
-    )
-    tw_err = reconstruct.relative_l2_error(tw, sig)
+    tw, tw_err = _truncated_walsh(op, scheme, sig)
     write_matrix_csv(tw.reshape(1, -1), os.path.join(args.out, f"tw_{tag}.csv"))
     sampling.save_scheme(scheme, os.path.join(args.out, f"pattern_{tag}.txt"))
     record = {
@@ -261,10 +266,7 @@ def cmd_errorcurve(args):
         sub["R"], sub["q"] = big_r, q
         basis, op, levels, scheme, sig = _experiment_pieces(sub)
         result, grid, err = _reconstruct_once(op, scheme, sig, sub)
-        tw = reconstruct.truncated_walsh(
-            reconstruct.measure_signal(sig, np.arange(scheme.total)).values, op.Q
-        )
-        rows.append((levels.N_r, err, reconstruct.relative_l2_error(tw, sig)))
+        rows.append((levels.N_r, err, _truncated_walsh(op, scheme, sig)[1]))
     path = os.path.join(
         args.out, f"errorcurve_{cfg['signal']}_m{cfg['budget']}_seed{cfg['seed']}.csv"
     )
@@ -319,10 +321,7 @@ def cmd_sweep(args):
         sub["budget"] = budget
         basis, op, levels, scheme, sig = _experiment_pieces(sub)
         result, grid, err = _reconstruct_once(op, scheme, sig, sub)
-        tw = reconstruct.truncated_walsh(
-            reconstruct.measure_signal(sig, np.arange(scheme.total)).values, op.Q
-        )
-        rows.append((budget, err, reconstruct.relative_l2_error(tw, sig)))
+        rows.append((budget, err, _truncated_walsh(op, scheme, sig)[1]))
     path = os.path.join(
         args.out, f"sweep_{cfg['signal']}_N{1 << (cfg['R'] + cfg['q'])}_seed{cfg['seed']}.csv"
     )

@@ -11,7 +11,7 @@ Forward and adjoint applications are exact transposes of each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .walsh import fwht_sequency, ifwht_sequency
 from .wavelets import LevelStructure, SignalExpansion, dwt_forward, dwt_inverse
 
 SECTION_GUARD = 1 << 12
+# grid values one batched transform call holds (4 MB); see CobOperator.batches
+BATCH_ELEMENTS = 1 << 19
 
 
 class SizeGuardError(ValueError):
@@ -57,6 +59,8 @@ class CobOperator:
     Rows are 0-based sequency indices (row 0 is the constant function);
     columns follow the level ordering: scaling block at J0 first, then
     wavelet levels.  Column count is levels.M_r; rows live below 2^Q.
+    synthesize, apply and apply_adjoint act along the last axis of their
+    coefficient or value arrays; leading axes are a batch.
     """
 
     def __init__(self, basis, levels, Q=None):
@@ -78,10 +82,10 @@ class CobOperator:
         if isinstance(coeffs, SignalExpansion):
             coeffs = coeffs.coeffs
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.size > self.levels.M_r:
+        if coeffs.shape[-1] > self.levels.M_r:
             raise ValueError("coefficient vector longer than the level structure")
-        full = np.zeros(self.n_grid)
-        full[: coeffs.size] = coeffs
+        full = np.zeros(coeffs.shape[:-1] + (self.n_grid,))
+        full[..., : coeffs.shape[-1]] = coeffs
         exp = SignalExpansion(
             levels=LevelStructure(self.levels.J0, self.Q - self.levels.J0),
             coeffs=full,
@@ -91,20 +95,20 @@ class CobOperator:
     def apply(self, coeffs, omega):
         """Walsh samples of the synthesized expansion at the indices omega."""
         omega = self._check_omega(omega)
-        return fwht_sequency(self.synthesize(coeffs))[omega]
+        return np.take(fwht_sequency(self.synthesize(coeffs)), omega, axis=-1)
 
     def apply_adjoint(self, values, omega, L=None):
         """Exact transpose of apply, truncated to the first L coefficients."""
         omega = self._check_omega(omega)
         values = np.asarray(values, dtype=float)
-        if values.shape != omega.shape:
+        if values.shape[-1:] != omega.shape:
             raise ValueError("values and omega must have matching shapes")
         if L is None:
             L = self.levels.M_r
-        grid = np.zeros(self.n_grid)
-        grid[omega] = values
+        grid = np.zeros(values.shape[:-1] + (self.n_grid,))
+        grid.T[omega] = values.T  # along the last axis, without an Ellipsis index
         exp = dwt_forward(ifwht_sequency(grid), self.basis)
-        return exp.coeffs[:L]
+        return exp.coeffs[..., :L]
 
     def _check_omega(self, omega):
         omega = np.asarray(omega, dtype=np.int64)
@@ -113,6 +117,12 @@ class CobOperator:
         if omega.size and (omega.min() < 0 or omega.max() >= self.n_grid):
             raise ValueError(f"omega indices must lie in [0, 2^{self.Q})")
         return omega
+
+    def batches(self, count):
+        """Slices cutting [0, count) into batches of rows or columns whose
+        transforms hold about BATCH_ELEMENTS grid values each."""
+        step = max(1, BATCH_ELEMENTS >> self.Q)
+        return [slice(a, min(a + step, count)) for a in range(0, count, step)]
 
     # -- dense access -------------------------------------------------------
 
@@ -148,25 +158,16 @@ class CobOperator:
         return out
 
     def rows_dense(self, row_indices, M):
-        """Dense rows over the first M columns, via the adjoint path."""
+        """Dense rows over the first M columns, via batched adjoint calls."""
         row_indices = np.asarray(row_indices, dtype=np.int64)
         if row_indices.size * M > SECTION_GUARD * SECTION_GUARD:
             raise SizeGuardError("requested row block exceeds the size guard")
         out = np.empty((row_indices.size, M))
-        for a, i in enumerate(row_indices):
-            out[a] = self.apply_adjoint(np.ones(1), np.array([i]), L=M)
+        for batch in self.batches(row_indices.size):
+            # one unit sample per row; rows may repeat, omega may not
+            omega, which = np.unique(row_indices[batch], return_inverse=True)
+            out[batch] = self.apply_adjoint(np.eye(omega.size)[which], omega, L=M)
         return out
-
-    def column_norms_partial(self, N, M):
-        """Norms of the first-N-row restriction of every column j < M,
-        computed rowwise so M may exceed the dense-section guard."""
-        if M > self.n_grid:
-            raise ValueError("column range beyond the tabulated band")
-        acc = np.zeros(M)
-        for i in range(N):
-            row = self.apply_adjoint(np.ones(1), np.array([i]), L=M)
-            acc += row**2
-        return np.sqrt(acc)
 
 
 def write_matrix_csv(matrix, path):

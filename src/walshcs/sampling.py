@@ -80,12 +80,15 @@ class SamplingScheme:
 
 
 def _draw_without_replacement(gen, lo, hi, count):
-    # partial Fisher-Yates on the band [lo, hi)
-    pool = np.arange(lo, hi, dtype=np.int64)
+    # partial Fisher-Yates on the band [lo, hi); only the positions a swap
+    # has touched are stored, so memory is O(count) however wide the band
+    moved = {}
+    out = np.empty(count, dtype=np.int64)
     for i in range(count):
-        j = i + int(gen.integers(0, pool.size - i))
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:count]
+        j = i + int(gen.integers(0, hi - lo - i))
+        out[i] = moved.get(j, j)
+        moved[j] = moved.get(i, i)
+    return out + lo
 
 
 def draw_scheme(levels, m, seed):
@@ -173,7 +176,6 @@ def allocate_budget(
     profile,
     levels,
     budget,
-    epsilon=None,
     policy="weights",
     full_first=False,
 ):
@@ -181,12 +183,11 @@ def allocate_budget(
 
     policy 'weights' makes m_k proportional to sum_l 2^(-|k-l|/2) s_l (the
     factor every level count shares, like log(1/epsilon), drops out of a
-    proportional split, which is why `epsilon` is accepted but unused);
-    policy 'uniform' divides evenly.  full_first reserves the whole first
-    band before splitting the rest, the configuration the experiments use.
+    proportional split); policy 'uniform' divides evenly.  full_first
+    reserves the whole first band before splitting the rest, the
+    configuration the experiments use.
     Largest-remainder rounding makes sum(m) == budget exact.
     """
-    del epsilon
     profile.validate(levels, require_min_total=False)
     n = levels.N
     caps = np.diff(n).astype(np.int64)

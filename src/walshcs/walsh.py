@@ -173,28 +173,37 @@ def _check_power_of_two(n):
 
 
 def _hadamard_inplace(v):
-    # Sylvester (natural) order butterfly, O(N log N)
-    n = v.shape[0]
+    # Sylvester (natural) order butterfly along the last axis, O(N log N).
+    # It runs on a transform-axis-first copy of a batch (a 1-D v is used in
+    # place), so each butterfly adds whole contiguous runs of the batch.
+    shape, n = v.shape, v.shape[-1]
+    w = np.ascontiguousarray(v.reshape(-1, n).T)
+    width = w.shape[1]
     h = 1
     while h < n:
-        v = v.reshape(-1, 2, h)
-        a = v[:, 0, :] + v[:, 1, :]
-        b = v[:, 0, :] - v[:, 1, :]
-        v[:, 0, :] = a
-        v[:, 1, :] = b
-        v = v.reshape(n)
+        w = w.reshape(n // (2 * h), 2, h * width)
+        a = w[:, 0, :] + w[:, 1, :]
+        b = w[:, 0, :] - w[:, 1, :]
+        w[:, 0, :] = a
+        w[:, 1, :] = b
         h *= 2
-    return v
+    return w.reshape(n, width).T.reshape(shape)
 
 
 _PERM_CACHE = {}
 
 
 def _sequency_perm(j):
-    # out[n] = hadamard[perm[n]] realizes the Kaczmarz row ordering
+    # out[n] = hadamard[perm[n]] realizes the Kaczmarz row ordering; returns
+    # perm and its inverse
     if j not in _PERM_CACHE:
-        perm = np.array([bit_reverse(gray(n), j) for n in range(1 << j)], dtype=np.int64)
-        _PERM_CACHE[j] = perm
+        g = gray(np.arange(1 << j, dtype=np.int64))
+        perm = np.zeros_like(g)
+        for b in range(j):  # bit_reverse(g, j), all indices at once
+            perm |= ((g >> b) & 1) << (j - 1 - b)
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(1 << j)
+        _PERM_CACHE[j] = perm, inverse
     return _PERM_CACHE[j]
 
 
@@ -204,20 +213,20 @@ def fwht_sequency(v):
     out[n] = 2^(-J) * sum_j v[j] * Wal(n, j / 2^J).  When v holds cell
     averages of a function on the 2^J uniform grid, out[n] is the exact
     integral of that piecewise-constant function against Wal(n, .).
+    Acts along the last axis; leading axes are a batch.
     """
     v = np.asarray(v, dtype=float)
-    j = _check_power_of_two(v.shape[0])
+    j = _check_power_of_two(v.shape[-1])
     h = _hadamard_inplace(v.copy())
-    return h[_sequency_perm(j)] / v.shape[0]
+    return np.take(h, _sequency_perm(j)[0], axis=-1) / v.shape[-1]
 
 
 def ifwht_sequency(c):
-    """Inverse of fwht_sequency: v[j] = sum_n c[n] * Wal(n, j / 2^J)."""
+    """Inverse of fwht_sequency: v[j] = sum_n c[n] * Wal(n, j / 2^J),
+    along the last axis."""
     c = np.asarray(c, dtype=float)
-    j = _check_power_of_two(c.shape[0])
-    w = np.empty_like(c)
-    w[_sequency_perm(j)] = c
-    return _hadamard_inplace(w)
+    j = _check_power_of_two(c.shape[-1])
+    return _hadamard_inplace(np.take(c, _sequency_perm(j)[1], axis=-1))
 
 
 @dataclass(frozen=True)

@@ -312,7 +312,7 @@ class WaveletBasis:
     GR: np.ndarray = field(repr=False)
     edge_expansion_left: np.ndarray = field(repr=False)
     edge_expansion_right: np.ndarray = field(repr=False)
-    _small_wavelets: dict = field(default_factory=dict, repr=False)
+    _edge_wavelet_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def filter_width(self):
@@ -325,122 +325,117 @@ class WaveletBasis:
             raise ValueError(f"level size {n0} below minimum 2p = {2 * self.p}")
 
     # -- structured two-scale applications ---------------------------------
+    # Each map acts along the last axis; leading axes are a batch.  The
+    # bodies index transposed views (transform axis first) with plain
+    # slices, which numpy resolves faster than slices behind an Ellipsis.
 
     def scaling_synthesis(self, c):
         """Apply the level -> level+1 scaling map to coefficients c."""
-        c = np.asarray(c, dtype=float)
-        n0 = c.size
+        c = np.asarray(c, dtype=float).T
+        n0 = c.shape[0]
         self._check_level(n0)
         p, w = self.p, self.filter_width
         if n0 == 1:
-            return self.h * c[0]
-        out = np.zeros(2 * n0)
-        out[:w] = self.HL.T @ c[:p]
-        out[2 * n0 - w :] += self.HR[:, ::-1].T @ c[n0 - p :][::-1]
+            return np.multiply.outer(self.h, c[0]).T
+        out = np.zeros((2 * n0,) + c.shape[1:])
+        out[:w] = _matmul_lead(self.HL.T, c[:p])
+        out[2 * n0 - w :] += _matmul_lead(self.HR[:, ::-1].T, c[n0 - p :][::-1])
         if n0 > 2 * p:
             mid = c[p : n0 - p]
             for i, tap in enumerate(self.h):
                 t = i - p + 1
                 out[2 * p + t : 2 * (n0 - p) + t : 2] += tap * mid
-        return out
+        return out.T
 
     def scaling_analysis(self, v):
         """Transpose of scaling_synthesis (level+1 -> level)."""
-        v = np.asarray(v, dtype=float)
-        n1 = v.size
+        v = np.asarray(v, dtype=float).T
+        n1 = v.shape[0]
         n0 = n1 // 2
         self._check_level(n0)
         p, w = self.p, self.filter_width
         if n0 == 1:
-            return np.array([self.h @ v])
-        c = np.empty(n0)
-        c[:p] = self.HL @ v[:w]
-        c[n0 - p :] = (self.HR[:, ::-1] @ v[n1 - w :])[::-1]
+            return _matmul_lead(self.h, v)[None].T
+        c = np.empty((n0,) + v.shape[1:])
+        c[:p] = _matmul_lead(self.HL, v[:w])
+        c[n0 - p :] = _matmul_lead(self.HR[:, ::-1], v[n1 - w :])[::-1]
         if n0 > 2 * p:
-            acc = np.zeros(n0 - 2 * p)
+            acc = np.zeros((n0 - 2 * p,) + v.shape[1:])
             for i, tap in enumerate(self.h):
                 t = i - p + 1
                 acc += tap * v[2 * p + t : 2 * (n0 - p) + t : 2]
             c[p : n0 - p] = acc
-        return c
+        return c.T
 
     def wavelet_synthesis(self, d):
         """Apply the level -> level+1 wavelet map to coefficients d."""
-        d = np.asarray(d, dtype=float)
-        n0 = d.size
+        d = np.asarray(d, dtype=float).T
+        n0 = d.shape[0]
         self._check_level(n0)
         p, w = self.p, self.filter_width
         if n0 == 1:
-            return self.g * d[0]
-        out = np.zeros(2 * n0)
+            return np.multiply.outer(self.g, d[0]).T
+        out = np.zeros((2 * n0,) + d.shape[1:])
         if n0 > 2 * p:
             mid = d[p : n0 - p]
             for i, tap in enumerate(self.g):
                 t = i - p + 1
                 out[2 * p + t : 2 * (n0 - p) + t : 2] += tap * mid
         if 2 * n0 >= 6 * p - 2:
-            out[:w] += self.GL.T @ d[:p]
-            out[2 * n0 - w :] += self.GR[:, ::-1].T @ d[n0 - p :][::-1]
+            out[:w] += _matmul_lead(self.GL.T, d[:p])
+            out[2 * n0 - w :] += _matmul_lead(self.GR[:, ::-1].T, d[n0 - p :][::-1])
         else:
-            left, right = self._small_level_wavelets(n0)
-            out += left.T @ d[:p]
-            out += right.T @ d[n0 - p :][::-1]
-        return out
+            left, right = self._edge_wavelets(n0)
+            out += _matmul_lead(left.T, d[:p])
+            out += _matmul_lead(right.T, d[n0 - p :][::-1])
+        return out.T
 
     def wavelet_analysis(self, v):
         """Transpose of wavelet_synthesis (level+1 -> wavelet level)."""
-        v = np.asarray(v, dtype=float)
-        n1 = v.size
+        v = np.asarray(v, dtype=float).T
+        n1 = v.shape[0]
         n0 = n1 // 2
         self._check_level(n0)
         p, w = self.p, self.filter_width
         if n0 == 1:
-            return np.array([self.g @ v])
-        d = np.zeros(n0)
+            return _matmul_lead(self.g, v)[None].T
+        d = np.zeros((n0,) + v.shape[1:])
         if n0 > 2 * p:
-            acc = np.zeros(n0 - 2 * p)
+            acc = np.zeros((n0 - 2 * p,) + v.shape[1:])
             for i, tap in enumerate(self.g):
                 t = i - p + 1
                 acc += tap * v[2 * p + t : 2 * (n0 - p) + t : 2]
             d[p : n0 - p] = acc
         if 2 * n0 >= 6 * p - 2:
-            d[:p] = self.GL @ v[:w]
-            d[n0 - p :] = (self.GR[:, ::-1] @ v[n1 - w :])[::-1]
+            d[:p] = _matmul_lead(self.GL, v[:w])
+            d[n0 - p :] = _matmul_lead(self.GR[:, ::-1], v[n1 - w :])[::-1]
         else:
-            left, right = self._small_level_wavelets(n0)
-            d[:p] = left @ v
-            d[n0 - p :] = (right @ v)[::-1]
-        return d
+            left, right = self._edge_wavelets(n0)
+            d[:p] = _matmul_lead(left, v)
+            d[n0 - p :] = _matmul_lead(right, v)[::-1]
+        return d.T
 
-    # -- dense views (small levels, tests, completion) ---------------------
-
-    def scaling_synthesis_matrix(self, n0):
-        cols = [self.scaling_synthesis(_unit(n0, i)) for i in range(n0)]
-        return np.column_stack(cols)
-
-    def wavelet_synthesis_matrix(self, n0):
-        cols = [self.wavelet_synthesis(_unit(n0, i)) for i in range(n0)]
-        return np.column_stack(cols)
-
-    def _small_level_wavelets(self, n0):
-        if n0 not in self._small_wavelets:
+    def _edge_wavelets(self, n0):
+        """Edge wavelets of the level of size n0, as rows over the 2 * n0
+        finer coefficients: the orthonormal completion of the scaling and
+        interior wavelet columns of the two-scale map, p at the left edge
+        and then p at the right (cached per level size)."""
+        if n0 not in self._edge_wavelet_cache:
             p = self.p
-            s = self.scaling_synthesis_matrix(n0)
             gi = np.zeros((2 * n0, max(n0 - 2 * p, 0)))
             for j, pos in enumerate(range(p, n0 - p)):
                 gi[2 * pos - p + 1 : 2 * pos + p + 1, j] = self.g
-            q = np.hstack([s, gi])
+            q = np.hstack([self.scaling_synthesis(np.eye(n0)).T, gi])
             left = _complete_orthonormal(q, range(2 * n0), p)
-            q2 = np.hstack([q] + [v.reshape(-1, 1) for v in left])
+            q2 = np.column_stack([q, *left])
             right = _complete_orthonormal(q2, range(2 * n0 - 1, -1, -1), p)
-            self._small_wavelets[n0] = (np.array(left), np.array(right))
-        return self._small_wavelets[n0]
+            self._edge_wavelet_cache[n0] = (np.array(left), np.array(right))
+        return self._edge_wavelet_cache[n0]
 
 
-def _unit(n, i):
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
+def _matmul_lead(m, x):
+    """m @ x contracting the leading axis of x, whatever axes follow it."""
+    return (x.T @ m.T).T
 
 
 _FILTER_CACHE = {}
@@ -485,20 +480,12 @@ def build_basis(p, J0):
     )
     # edge wavelet filters from a reference level where the edges decouple
     n_ref = 1 << max(math.ceil(math.log2(4 * p)), 2)
-    s = basis.scaling_synthesis_matrix(n_ref)
-    gi = np.zeros((2 * n_ref, n_ref - 2 * p))
-    for j, pos in enumerate(range(p, n_ref - p)):
-        gi[2 * pos - p + 1 : 2 * pos + p + 1, j] = g
-    q = np.hstack([s, gi])
-    width = 3 * p - 1
-    left = _complete_orthonormal(q, range(2 * n_ref), p)
-    q2 = np.hstack([q] + [v.reshape(-1, 1) for v in left])
-    right = _complete_orthonormal(q2, range(2 * n_ref - 1, -1, -1), p)
-    for k in range(p):
-        if max(np.max(np.abs(left[k][width:])), np.max(np.abs(right[k][:-width]))) > 1e-11:
-            raise RuntimeError("edge wavelet support exceeded the expected window")
-        basis.GL[k] = left[k][:width]
-        basis.GR[k] = right[k][-width:][::-1]
+    left, right = basis._edge_wavelets(n_ref)
+    width = basis.filter_width
+    if max(np.max(np.abs(left[:, width:])), np.max(np.abs(right[:, :-width]))) > 1e-11:
+        raise RuntimeError("edge wavelet support exceeded the expected window")
+    basis.GL[:] = left[:, :width]
+    basis.GR[:] = right[:, -width:][:, ::-1]
     return basis
 
 
@@ -552,29 +539,27 @@ class LevelStructure:
 
 @dataclass
 class SignalExpansion:
-    """Coefficients ordered scaling block first, then wavelet levels."""
+    """Coefficients ordered scaling block first, then wavelet levels, along
+    the last axis (leading axes are a batch of expansions)."""
 
     levels: LevelStructure
     coeffs: np.ndarray
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.levels.M_r,):
+        if self.coeffs.shape[-1:] != (self.levels.M_r,):
             raise ValueError(
                 f"expected {self.levels.M_r} coefficients, got {self.coeffs.shape}"
             )
 
     def scaling_block(self):
-        return self.coeffs[: 1 << self.levels.J0]
+        return self.coeffs[..., : 1 << self.levels.J0]
 
     def wavelet_level(self, j):
         """Wavelet coefficients at dyadic level j (J0 <= j < J0 + r)."""
         if not self.levels.J0 <= j < self.levels.J0 + self.levels.r:
             raise ValueError(f"level {j} outside expansion range")
-        return self.coeffs[1 << j : 1 << (j + 1)]
-
-    def level_block(self, k):
-        return self.coeffs[self.levels.coefficient_level_slice(k)]
+        return self.coeffs[..., 1 << j : 1 << (j + 1)]
 
 
 def dwt_forward(samples, basis, coarsest=None):
@@ -582,37 +567,40 @@ def dwt_forward(samples, basis, coarsest=None):
 
     Returns a SignalExpansion of L2([0,1]) coefficients: scaling block at
     level `coarsest` (default basis.J0), then wavelet levels up to the grid
-    scale.  Exact inverse of dwt_inverse at the same scale.
+    scale.  Exact inverse of dwt_inverse at the same scale.  Acts along the
+    last axis; leading axes are a batch.
     """
     v = np.asarray(samples, dtype=float)
-    if v.ndim != 1 or v.size == 0 or v.size & (v.size - 1):
+    n = v.shape[-1] if v.ndim else 0
+    if n == 0 or n & (n - 1):
         raise ValueError("grid vector length must be a power of two")
-    big_q = v.size.bit_length() - 1
+    big_q = n.bit_length() - 1
     r0 = basis.J0 if coarsest is None else coarsest
     if not basis.J0 <= r0 < big_q:
         raise ValueError("coarsest level must satisfy J0 <= R < Q")
     c = v * 2.0 ** (-big_q / 2.0)
-    out = np.empty(v.size)
+    out = np.empty(v.shape)
     for j in range(big_q - 1, r0 - 1, -1):
-        out[1 << j : 1 << (j + 1)] = basis.wavelet_analysis(c)
+        out[..., 1 << j : 1 << (j + 1)] = basis.wavelet_analysis(c)
         c = basis.scaling_analysis(c)
-    out[: 1 << r0] = c
+    out[..., : 1 << r0] = c
     return SignalExpansion(levels=LevelStructure(J0=r0, r=big_q - r0), coeffs=out)
 
 
 def dwt_inverse(expansion, basis, Q):
     """Cell averages at scale Q of the function the expansion represents
-    (wavelet levels above the expansion's range are treated as zero)."""
+    (wavelet levels above the expansion's range are treated as zero), along
+    the last axis of its coefficients."""
     levels = expansion.levels
     r0 = levels.J0
     top = levels.J0 + levels.r
     if Q < top:
         raise ValueError(f"target scale {Q} below expansion scale {top}")
-    c = expansion.coeffs[: 1 << r0].copy()
+    c = expansion.coeffs[..., : 1 << r0].copy()
     for j in range(r0, Q):
         c2 = basis.scaling_synthesis(c)
         if j < top:
-            c2 += basis.wavelet_synthesis(expansion.coeffs[1 << j : 1 << (j + 1)])
+            c2 += basis.wavelet_synthesis(expansion.coeffs[..., 1 << j : 1 << (j + 1)])
         c = c2
     return c * 2.0 ** (Q / 2.0)
 
@@ -636,7 +624,8 @@ def cascade_tabulate(basis, j, n, Q, kind="scaling"):
         raise ValueError("kind must be 'scaling' or 'wavelet'")
     if basis.p > 1 and (1 << j) < 2 * basis.p:
         raise ValueError(f"level {j} below the basis minimum for p = {basis.p}")
-    e = _unit(1 << j, n)
+    e = np.zeros(1 << j)
+    e[n] = 1.0
     if kind == "wavelet":
         if Q == j:
             raise ValueError("a level-j wavelet needs grid exponent Q >= j + 1")

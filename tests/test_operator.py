@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from walshcs import operator
 from walshcs.operator import (
     CobOperator,
     MeasurementVector,
@@ -18,6 +23,12 @@ def haar_op(r=4, Q=None):
 def db_op(p, r=5, q=0, Q=None):
     j0 = {3: 3, 4: 3, 8: 4}[p]
     return CobOperator(build_basis(p, j0), LevelStructure(J0=j0, r=r, q=q), Q=Q)
+
+
+def assert_matches_stack(batched, stacked):
+    # a batch reaches BLAS through matrix-matrix instead of matrix-vector
+    # products, whose sums may round differently: 1e-15 at unit scale
+    assert np.max(np.abs(batched - stacked)) <= 1e-15 * max(1.0, np.max(np.abs(stacked)))
 
 
 def haar_closed_form(op):
@@ -56,7 +67,9 @@ def test_zero_maps_to_zero():
 
 
 @pytest.mark.parametrize("p", [1, 3, 4, 8])
-def test_adjoint_identity(p):
+@settings(max_examples=8, deadline=None)
+@given(batch=st.lists(st.integers(1, 3), min_size=1, max_size=2))
+def test_adjoint_identity(p, batch):
     op = haar_op() if p == 1 else db_op(p)
     rng = np.random.default_rng(p)
     m = op.levels.M_r
@@ -67,6 +80,20 @@ def test_adjoint_identity(p):
         lhs = np.dot(op.apply(x, omega), y)
         rhs = np.dot(x, op.apply_adjoint(y, omega, L=m))
         assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
+    # stacks of coefficient and value vectors: each row as on its own
+    xs = rng.standard_normal((*batch, m))
+    ys = rng.standard_normal((*batch, 50))
+    fwd = op.apply(xs, omega)
+    adj = op.apply_adjoint(ys, omega, L=m)
+    assert fwd.shape == ys.shape and adj.shape == xs.shape
+    assert_matches_stack(fwd, np.reshape([op.apply(x, omega) for x in xs.reshape(-1, m)], fwd.shape))
+    assert_matches_stack(
+        adj, np.reshape([op.apply_adjoint(y, omega, L=m) for y in ys.reshape(-1, 50)], adj.shape)
+    )
+    lhs = np.sum(fwd * ys, axis=-1)
+    rhs = np.sum(xs * adj, axis=-1)
+    bound = 1e-10 * np.linalg.norm(xs, axis=-1) * np.linalg.norm(ys, axis=-1)
+    assert np.all(np.abs(lhs - rhs) <= bound)
 
 
 @pytest.mark.parametrize("p", [1, 4])
@@ -100,12 +127,25 @@ def test_haar_section_block_diagonal():
     assert np.max(np.abs(np.abs(s) - closed)) < 1e-12
 
 
-def test_rows_match_columns():
+@settings(max_examples=10, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, (1 << 11) - 1), min_size=1, max_size=40),
+    per_batch=st.sampled_from([1, 3, 8, 256]),
+)
+def test_rows_match_columns(picks, per_batch):
     op = db_op(3)
     rows = op.rows_dense(np.array([3, 17, 40]), 32)
     for a, i in enumerate((3, 17, 40)):
         col_vals = np.array([op.entry(i, j) for j in range(32)])
         assert np.max(np.abs(rows[a] - col_vals)) < 1e-12
+    # batched rows (repeats allowed, batches of per_batch rows) against
+    # the row-by-row adjoint
+    picks = np.array(picks)
+    with mock.patch.object(operator, "BATCH_ELEMENTS", per_batch << op.Q):
+        assert len(op.batches(picks.size)) == -(-picks.size // per_batch)
+        rows = op.rows_dense(picks, 64)
+    one_by_one = [op.apply_adjoint(np.ones(1), np.array([i]), L=64) for i in picks]
+    assert_matches_stack(rows, np.array(one_by_one))
 
 
 def test_dc_row_matches_refined_quadrature():

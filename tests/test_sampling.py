@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from walshcs.sampling import (
     SamplingScheme,
+    _draw_without_replacement,
     SparsityProfile,
     allocate_budget,
     draw_scheme,
@@ -38,6 +41,59 @@ def test_determinism():
     assert np.array_equal(a.union, b.union)
     c = draw_scheme(lv, (3, 5, 9), 1235)
     assert not np.array_equal(a.union, c.union)
+
+
+def _pool_draw(gen, lo, hi, count):
+    # reference: the dense partial Fisher-Yates over the whole band
+    pool = np.arange(lo, hi, dtype=np.int64)
+    for i in range(count):
+        j = i + int(gen.integers(0, pool.size - i))
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:count]
+
+
+def test_sparse_draw_matches_pool_draw():
+    # the level structures, counts and seeds the suite draws schemes with
+    cases = [
+        (LevelStructure(J0=1, r=2), (4, 4), (0, 5, 99)),
+        (LevelStructure(J0=1, r=2), (2, 1), range(200)),
+        (LevelStructure(J0=2, r=1), (3,), range(200)),
+        (LevelStructure(J0=2, r=3), (3, 5, 9), (1234, 1235)),
+        (LevelStructure(J0=2, r=3, q=1), (4, 3, 10), (99,)),
+        (LevelStructure(J0=3, r=5), (16, 8, 8, 8, 8), (7,)),
+        (LevelStructure(J0=3, r=5), (16, 16, 32, 64, 128), (3,)),
+    ]
+    # the acceptance criteria's (R, q, budget) with uniform full-first splits
+    for big_r, q, budget in ((5, 1, 32), (7, 1, 64), (7, 1, 256), (7, 2, 256), (7, 3, 256),
+                             (5, 3, 64), (7, 8, 512)):
+        levels = LevelStructure(J0=3, r=big_r - 3, q=q)
+        m = allocate_budget(SparsityProfile((1,) * levels.r), levels, budget,
+                            policy="uniform", full_first=True)
+        cases.append((levels, m, range(10)))
+    for levels, m, seeds in cases:
+        n = levels.N
+        for seed in seeds:
+            gens = [np.random.Generator(np.random.Philox(key=np.uint64(seed))) for _ in range(2)]
+            for k in range(1, levels.r + 1):
+                args = (int(n[k - 1]), int(n[k]), m[k - 1])
+                got = _draw_without_replacement(gens[0], *args)
+                assert np.array_equal(got, _pool_draw(gens[1], *args))
+
+
+def test_draw_memory_is_independent_of_band_width():
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(0)))
+    lo, hi = 1 << 22, 1 << 23  # a 2^22-wide band; a dense pool would take 32 MB
+    tracemalloc.start()
+    try:
+        draws = _draw_without_replacement(gen, lo, hi, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert np.unique(draws).size == 512 and draws.min() >= lo and draws.max() < hi
+    wide = LevelStructure(J0=3, r=2, q=35)  # last band 2^40 wide
+    scheme = draw_scheme(wide, (16, 16), 0)
+    assert scheme.union.size == 32 and scheme.union.max() < wide.N_r
 
 
 def test_marginals_uniform():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walshcs.walsh import (
     KACZMARZ,
@@ -8,6 +10,8 @@ from walshcs.walsh import (
     DyadicPoint,
     SequencyIndex,
     WalshPolynomial,
+    _sequency_perm,
+    bit_reverse,
     fwht_sequency,
     gray,
     gray_inverse,
@@ -139,17 +143,33 @@ def test_fwht_trivial_examples():
     assert np.max(np.abs(out - expect)) < 1e-15
 
 
-def test_fwht_matches_naive_oracle():
+@settings(max_examples=20, deadline=None)
+@given(batch=st.lists(st.integers(1, 3), min_size=1, max_size=2), scale=st.integers(0, 10))
+def test_fwht_matches_naive_oracle(batch, scale):
     rng = np.random.default_rng(1)
-    for scale in (3, 5):
-        n = 1 << scale
+    for small in (3, 5):
+        n = 1 << small
         w = np.array(
-            [[wal_eval(i, DyadicPoint(j, scale)) for j in range(n)] for i in range(n)],
+            [[wal_eval(i, DyadicPoint(j, small)) for j in range(n)] for i in range(n)],
             dtype=float,
         )
         v = rng.standard_normal(n)
         assert np.max(np.abs(fwht_sequency(v) - w @ v / n)) < 1e-12
         assert np.max(np.abs(ifwht_sequency(fwht_sequency(v)) - v)) < 1e-12
+    # a stack transforms exactly like its rows, one at a time
+    stack = rng.standard_normal((*batch, 1 << scale))
+    rows = stack.reshape(-1, 1 << scale)
+    for transform in (fwht_sequency, ifwht_sequency):
+        one_by_one = np.reshape([transform(row) for row in rows], stack.shape)
+        assert np.array_equal(transform(stack), one_by_one)
+
+
+def test_sequency_perm_matches_scalar_bit_reverse():
+    for j in range(13):
+        expect = [bit_reverse(gray(n), j) for n in range(1 << j)]
+        perm, inverse = _sequency_perm(j)
+        assert perm.tolist() == expect
+        assert np.array_equal(perm[inverse], np.arange(1 << j))
 
 
 def test_fwht_parseval_scaling():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walshcs.walsh import fwht_sequency
 from walshcs.wavelets import (
@@ -24,8 +26,13 @@ DB4 = [0.23037781330885523, 0.7148465705525415, 0.6308807679295904,
 
 
 def _basis(p):
-    j0 = {1: 0, 3: 3, 4: 3, 8: 4}[p]
-    return build_basis(p, j0)
+    return build_basis(p, (2 * p - 2).bit_length())  # minimal level: 2^J0 >= 2p - 1
+
+
+def assert_matches_stack(batched, stacked):
+    # a batch reaches BLAS through matrix-matrix instead of matrix-vector
+    # products, whose sums may round differently: 1e-15 at unit scale
+    assert np.max(np.abs(batched - stacked)) <= 1e-15 * max(1.0, np.max(np.abs(stacked)))
 
 
 def test_filter_against_published_tables():
@@ -132,8 +139,10 @@ def test_refinement_fixed_point_oracle():
     assert abs(ratios[1] - ratios[0]) < 0.5 * ratios[0]
 
 
-@pytest.mark.parametrize("p", [3, 4, 8])
-def test_dwt_round_trip(p):
+@pytest.mark.parametrize("p", [1, 3, 4, 5, 6, 7, 8, 9, 10])
+@settings(max_examples=10, deadline=None)
+@given(batch=st.lists(st.integers(1, 3), min_size=1, max_size=2), octaves=st.integers(1, 4))
+def test_dwt_round_trip(p, batch, octaves):
     basis = _basis(p)
     rng = np.random.default_rng(10 + p)
     v = rng.standard_normal(1024)
@@ -142,6 +151,17 @@ def test_dwt_round_trip(p):
     assert np.max(np.abs(back - v)) < 1e-10
     zero = dwt_forward(np.zeros(1 << basis.J0 + 2), basis)
     assert np.all(zero.coeffs == 0.0)
+    # a stack of grids transforms like its rows, one at a time
+    q = basis.J0 + octaves
+    stack = rng.standard_normal((*batch, 1 << q))
+    exp = dwt_forward(stack, basis)
+    rows = [dwt_forward(row, basis) for row in stack.reshape(-1, 1 << q)]
+    assert_matches_stack(exp.coeffs, np.reshape([e.coeffs for e in rows], stack.shape))
+    back = dwt_inverse(exp, basis, q + 1)
+    rows_back = [dwt_inverse(e, basis, q + 1) for e in rows]
+    assert back.shape == (*batch, 2 << q)
+    assert_matches_stack(back, np.reshape(rows_back, back.shape))
+    assert np.max(np.abs(dwt_inverse(exp, basis, q) - stack)) < 1e-10
 
 
 def test_dwt_matches_basis_matrix_at_length_64():
