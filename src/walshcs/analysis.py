@@ -181,21 +181,22 @@ def sparsity_report(op, s, constant=1.0, expansion=None, cap=16):
 def tail_norm(op, N, M, tol=1e-8, max_iter=10000, seed=7):
     """||P_N-perp U P_M||_2 over the tabulated band.
 
-    Uses an exact singular value of the materialized tail block when it
-    fits in memory; otherwise falls back to power iteration on the normal
-    map (which can under-resolve clustered spectra, hence the preference
-    for the dense route)."""
+    When the tail block fits in memory it is read from batches of columns
+    and its largest singular value is the square root of the top eigenvalue
+    of its M x M Gram matrix; otherwise power iteration on the normal map
+    runs instead (which can under-resolve clustered spectra, hence the
+    preference for the dense route)."""
     if M > op.levels.M_r or N > (1 << op.Q):
         raise ValueError("section outside the tabulated operator range")
     n_grid = 1 << op.Q
     if (n_grid - N) * M <= (1 << 24):
-        block = np.empty((n_grid - N, M))
-        for j in range(M):
-            block[:, j] = op.column(j)[N:]
+        block = np.empty((M, n_grid - N))  # tail columns as rows
+        for batch in op.batches(M):
+            block[batch] = op.column(np.arange(M)[batch])[:, N:]
         if not block.size:
             return 0.0
-        sv = np.linalg.svd(block, compute_uv=False)[0]
-        return float(sv) if sv > 1e-14 else 0.0
+        sv = math.sqrt(max(np.linalg.eigvalsh(block @ block.T)[-1], 0.0))
+        return sv if sv > 1e-14 else 0.0
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(M)
     v /= np.linalg.norm(v)
@@ -243,8 +244,7 @@ def balancing_check(op, N, M, K, s):
     head = np.empty((M, M))
     for batch in op.batches(M):
         # U* P_N U e_j for a batch of columns j
-        y = np.array([op.column(j)[:N] for j in range(M)[batch]])
-        w = op.apply_adjoint(y, rows_n, L=n_grid)
+        w = op.apply_adjoint(op.column(np.arange(M)[batch])[:, :N], rows_n, L=n_grid)
         abs_acc += np.abs(w).sum(axis=0)
         head[:, batch] = w[:, :M].T
     norm_head = float(np.max(np.abs(head - np.eye(M)).sum(axis=1)))

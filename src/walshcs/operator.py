@@ -73,23 +73,25 @@ class CobOperator:
         if self.Q < q_min:
             raise ValueError(f"grid exponent {self.Q} below required {q_min}")
         self.n_grid = 1 << self.Q
-        self._column_cache = {}
 
     # -- fast paths ---------------------------------------------------------
 
     def synthesize(self, coeffs):
-        """Grid cell averages of the expansion (length <= M_r, zero-padded)."""
+        """Grid cell averages of the expansion (length <= M_r).
+
+        The expansion is built up to the level holding its last coefficient;
+        dwt_inverse treats the levels above it as zero."""
         if isinstance(coeffs, SignalExpansion):
             coeffs = coeffs.coeffs
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape[-1] > self.levels.M_r:
+        n = coeffs.shape[-1]
+        if n > self.levels.M_r:
             raise ValueError("coefficient vector longer than the level structure")
-        full = np.zeros(coeffs.shape[:-1] + (self.n_grid,))
-        full[..., : coeffs.shape[-1]] = coeffs
-        exp = SignalExpansion(
-            levels=LevelStructure(self.levels.J0, self.Q - self.levels.J0),
-            coeffs=full,
-        )
+        j0 = self.levels.J0
+        top = max(j0 + 1, (n - 1).bit_length())
+        full = np.zeros(coeffs.shape[:-1] + (1 << top,))
+        full[..., :n] = coeffs
+        exp = SignalExpansion(levels=LevelStructure(j0, top - j0), coeffs=full)
         return dwt_inverse(exp, self.basis, self.Q)
 
     def apply(self, coeffs, omega):
@@ -127,16 +129,14 @@ class CobOperator:
     # -- dense access -------------------------------------------------------
 
     def column(self, j):
-        """Full column j over all 2^Q rows (cached)."""
-        if not 0 <= j < self.levels.M_r:
-            raise ValueError(f"column {j} outside the level structure")
-        if j not in self._column_cache:
-            if len(self._column_cache) * self.n_grid > (1 << 24):
-                self._column_cache.clear()
-            e = np.zeros(j + 1)
-            e[j] = 1.0
-            self._column_cache[j] = fwht_sequency(self.synthesize(e))
-        return self._column_cache[j]
+        """Full column j over all 2^Q rows, or for an index array one column per
+        index stacked along the first axis; synthesized afresh on every call
+        from one-hot rows by one synthesize and one fwht_sequency (no cache)."""
+        j = np.asarray(j, dtype=np.int64)
+        if j.size and (j.min() < 0 or j.max() >= self.levels.M_r):
+            raise ValueError(f"column index outside the level structure [0, {self.levels.M_r})")
+        one_hot = j[..., None] == np.arange(j.max(initial=0) + 1)
+        return fwht_sequency(self.synthesize(one_hot))
 
     def entry(self, i, j):
         """Single entry u[i, j] = <Wal(i,.), basis function j>."""
@@ -145,16 +145,17 @@ class CobOperator:
         return float(self.column(j)[i])
 
     def section_dense(self, N, M, row_offset=0):
-        """Dense section of rows [row_offset, row_offset + N) and columns < M."""
+        """Dense section of rows [row_offset, row_offset + N) and columns < M,
+        read from batches of columns (each synthesized afresh)."""
         if N > SECTION_GUARD or M > SECTION_GUARD:
             raise SizeGuardError(
                 f"requested {N} x {M} section exceeds the {SECTION_GUARD} guard"
             )
-        if row_offset + N > self.n_grid or M > self.levels.M_r:
+        if min(row_offset, N) < 0 or row_offset + N > self.n_grid or M > self.levels.M_r:
             raise ValueError("section outside the tabulated operator range")
         out = np.empty((N, M))
-        for j in range(M):
-            out[:, j] = self.column(j)[row_offset : row_offset + N]
+        for batch in self.batches(M):
+            out[:, batch] = self.column(np.arange(M)[batch])[:, row_offset : row_offset + N].T
         return out
 
     def rows_dense(self, row_indices, M):
@@ -172,10 +173,7 @@ class CobOperator:
 
 def write_matrix_csv(matrix, path):
     """RFC-4180-style CSV with '.' decimal separator, 17 significant digits."""
-    matrix = np.asarray(matrix)
-    with open(path, "w") as fh:
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, np.atleast_2d(matrix), fmt="%.17g", delimiter=",")
 
 
 def write_pgm(matrix, path, clip_percentile=99.0):

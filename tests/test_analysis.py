@@ -122,6 +122,10 @@ def test_tail_norm_haar_and_cap():
 def test_tail_norm_decay_trend():
     op = db_op(4, r=4, Q=11)
     values = {n: tail_norm(op, n, 64) for n in (128, 256, 512)}
+    cols = op.column(np.arange(64))
+    for n, value in values.items():
+        reference = np.linalg.svd(cols[:, n:].T, compute_uv=False)[0]
+        assert abs(value - reference) <= 1e-12 * reference
     assert values[512] < values[256] < values[128]
     scaled = [values[n] ** 2 * n / 64 for n in (128, 256, 512)]
     assert max(scaled) / min(scaled) < 2.5

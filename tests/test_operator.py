@@ -47,6 +47,7 @@ def test_haar_entries_match_closed_form():
     op = haar_op(r=4)
     dense = np.column_stack([op.column(j) for j in range(16)])
     assert np.max(np.abs(np.abs(dense) - haar_closed_form(op))) < 1e-12
+    assert np.array_equal(op.column(np.arange(16)).T, dense)
 
 
 def test_entry_validation_and_consistency():
@@ -94,13 +95,30 @@ def test_adjoint_identity(p, batch):
     rhs = np.sum(xs * adj, axis=-1)
     bound = 1e-10 * np.linalg.norm(xs, axis=-1) * np.linalg.norm(ys, axis=-1)
     assert np.all(np.abs(lhs - rhs) <= bound)
+    # a short coefficient vector synthesizes as its zero-padded form
+    for n in (1, m // 4 + batch[0]):
+        padded = np.zeros(xs.shape)
+        padded[..., :n] = xs[..., :n]
+        assert np.array_equal(op.synthesize(xs[..., :n]), op.synthesize(padded))
 
 
 @pytest.mark.parametrize("p", [1, 4])
-def test_columns_are_unit_norm(p):
+@settings(max_examples=10, deadline=None)
+@given(picks=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=20))
+def test_columns_are_unit_norm(p, picks):
     op = haar_op() if p == 1 else db_op(p)
-    for j in range(0, op.levels.M_r, 7):
+    m = op.levels.M_r
+    for j in range(0, m, 7):
         assert abs(np.linalg.norm(op.column(j)) - 1.0) <= 1e-10
+    # an index array (unsorted, repeats, the last column) stacks the columns
+    idx = np.array(picks + [m - 1]) % m
+    cols = op.column(idx)
+    assert cols.shape == (idx.size, 1 << op.Q)
+    assert_matches_stack(cols, np.array([op.column(int(j)) for j in idx]))
+    with pytest.raises(ValueError):
+        op.column(np.append(idx, m))
+    with pytest.raises(ValueError):
+        op.column(np.append(idx, -1))
 
 
 def test_full_omega_isometry_haar():
@@ -117,6 +135,11 @@ def test_section_dense_guard_and_shape():
     assert s.shape == (16, 16)
     with pytest.raises(SizeGuardError):
         op.section_dense(1 << 13, 4)
+    # a negative start would wrap around to the last rows of the grid
+    with pytest.raises(ValueError):
+        op.section_dense(4, 4, row_offset=-8)
+    with pytest.raises(ValueError):
+        op.section_dense(-4, 4, row_offset=8)
     assert np.max(np.linalg.norm(s, axis=0)) <= 1.0 + 1e-10
 
 
@@ -214,6 +237,13 @@ def test_measurement_vector_validation():
         MeasurementVector(np.arange(2), np.zeros(2), delta=-1.0)
 
 
+def f_string_csv(matrix):
+    """Reference CSV writer: one f-string per value, 17 significant digits."""
+    return "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in np.atleast_2d(matrix)
+    ).encode("ascii")
+
+
 def test_exports(tmp_path):
     op = haar_op(r=3)
     s = op.section_dense(8, 8)
@@ -223,8 +253,15 @@ def test_exports(tmp_path):
     write_pgm(s, pgm_path)
     loaded = np.loadtxt(csv_path, delimiter=",")
     assert np.max(np.abs(loaded - s)) < 1e-15
+    assert csv_path.read_bytes() == f_string_csv(s)
     raw = pgm_path.read_bytes()
     assert raw.startswith(b"P5\n8 8\n255\n") and len(raw) == len(b"P5\n8 8\n255\n") + 64
+    special = np.array(
+        [[np.nan, np.inf, -np.inf, -0.0], [5e-324, 2.2250738585072014e-308 / 3, 1e22, -1 / 3]]
+    )
+    for matrix in (special, special[1]):
+        write_matrix_csv(matrix, csv_path)
+        assert csv_path.read_bytes() == f_string_csv(matrix)
 
 
 def test_grid_exponent_guard():
