@@ -33,13 +33,11 @@ class ReconstructionConfig:
     delta: float = 1e-8
     max_iter: int = 5000
     tol: float = 1e-6
-    step_ratio: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.L < 1 or self.L & (self.L - 1):
             raise ValueError("truncation dimension L must be a power of two")
-        if self.delta < 0 or self.tol <= 0 or self.max_iter < 1 or self.step_ratio <= 0:
+        if self.delta < 0 or self.tol <= 0 or self.max_iter < 1:
             raise ValueError("invalid solver configuration")
 
 
@@ -50,7 +48,6 @@ class ReconstructionResult:
     objective: float
     feasibility_gap: float
     converged: bool
-    rel_error: float | None = None
     objective_trace: np.ndarray = field(default=None, repr=False)
 
 
@@ -58,8 +55,8 @@ def _soft_threshold(x, t):
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def _operator_norm(matvec, rmatvec, n, seed, iters=60, tol=1e-8):
-    rng = np.random.default_rng(seed)
+def _operator_norm(matvec, rmatvec, n, iters=60, tol=1e-8):
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
@@ -103,7 +100,7 @@ def solve_bpdn(op, omega, g, cfg=None):
     def rmatvec(y):
         return op.apply_adjoint(y, omega, L=L)
 
-    norm_est = _operator_norm(matvec, rmatvec, L, cfg.seed)
+    norm_est = _operator_norm(matvec, rmatvec, L)
     if norm_est == 0.0:
         return ReconstructionResult(
             coeffs=np.zeros(L),
@@ -113,9 +110,7 @@ def solve_bpdn(op, omega, g, cfg=None):
             converged=True,
             objective_trace=np.zeros(1),
         )
-    step = 0.95 / norm_est
-    tau = step * cfg.step_ratio
-    sigma = step / cfg.step_ratio
+    tau = sigma = 0.95 / norm_est
 
     x = np.zeros(L)
     x_bar = x.copy()
@@ -192,8 +187,8 @@ def measure_signal(f_grid, omega, delta=0.0, seed=None):
         omega = omega.union
     omega = np.asarray(omega, dtype=np.int64)
     coeffs = fwht_sequency(f_grid)
-    if omega.size and omega.max() >= coeffs.size:
-        raise ValueError("omega index beyond the sample grid")
+    if omega.size and (omega.min() < 0 or omega.max() >= coeffs.size):
+        raise ValueError("omega index outside the sample grid")
     values = coeffs[omega]
     if delta > 0:
         rng = np.random.default_rng(seed)

@@ -226,7 +226,8 @@ def save_scheme(scheme, path):
 
 
 def load_scheme(path):
-    """Inverse of save_scheme."""
+    """Inverse of save_scheme; raises ValueError when an index leaves
+    [0, N_r) or the per-level counts differ from the header's m."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
@@ -237,10 +238,12 @@ def load_scheme(path):
         indices = np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
     levels = LevelStructure(int(fields["J0"]), int(fields["r"]), int(fields["q"]))
     seed = None if fields.get("seed") in (None, "None") else int(fields["seed"])
+    if indices.size and (indices.min() < 0 or indices.max() >= levels.N_r):
+        raise ValueError(f"scheme indices leave the sample range [0, {levels.N_r})")
     n = levels.N
     omegas = [
         indices[(indices >= n[k - 1]) & (indices < n[k])] for k in range(1, levels.r + 1)
     ]
-    return SamplingScheme(
-        levels=levels, m=tuple(len(o) for o in omegas), omegas=omegas, seed=seed
-    )
+    # the header's per-level counts are checked against the indices read
+    m = tuple(int(v) for v in fields["m"].split(","))
+    return SamplingScheme(levels=levels, m=m, omegas=omegas, seed=seed)

@@ -138,6 +138,9 @@ def test_measure_signal_basics():
     walsh7 = np.array([wal_eval(7, DyadicPoint(j, q)) for j in range(1 << q)], float)
     mv = measure_signal(walsh7, np.array([7, 9]))
     assert abs(mv.values[0] - 1.0) < 1e-12 and abs(mv.values[1]) < 1e-12
+    for bad in ([-1, 2], [0, 1 << q]):
+        with pytest.raises(ValueError):
+            measure_signal(const, np.array(bad))
 
 
 def test_measure_signal_against_quadrature_oracle():

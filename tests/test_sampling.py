@@ -191,3 +191,14 @@ def test_serialization_roundtrip(tmp_path):
     assert np.array_equal(loaded.union, scheme.union)
     header = path.read_text().splitlines()[0]
     assert header.startswith("#") and "seed=99" in header
+    assert loaded.m == scheme.m
+    # an index outside [0, N_r) is rejected, not dropped
+    header = "# J0=3 r=2 q=0 seed=1 m=16,3\n"
+    inside = "".join(f"{i}\n" for i in [*range(16), 17, 20])
+    path.write_text(header + inside + "999\n-4\n")
+    with pytest.raises(ValueError):
+        load_scheme(path)
+    # per-level counts that differ from the header's m are rejected
+    path.write_text(header + inside)
+    with pytest.raises(ValueError):
+        load_scheme(path)

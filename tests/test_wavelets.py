@@ -164,6 +164,23 @@ def test_dwt_round_trip(p, batch, octaves):
     assert np.max(np.abs(dwt_inverse(exp, basis, q) - stack)) < 1e-10
 
 
+@pytest.mark.parametrize("p", [1, 3, 4, 5, 6, 7, 8, 9, 10])
+def test_two_scale_map_orthogonal_and_transposed(p):
+    basis = _basis(p)
+    rng = np.random.default_rng(p)
+    # every power-of-two level size up to 64 the basis allows (Haar from 1),
+    # so both sides of the edge-wavelet switch at 2 n0 = 6p - 2 where p has both
+    for n0 in [1 << k for k in range(7) if (1 << k) >= 2 * p or p == 1]:
+        blocks = {kind: basis.synthesis(np.eye(n0), kind) for kind in ("scaling", "wavelet")}
+        t = np.vstack([blocks["scaling"], blocks["wavelet"]])
+        assert t.shape == (2 * n0, 2 * n0)
+        assert np.max(np.abs(t @ t.T - np.eye(2 * n0))) < 1e-13
+        v = rng.standard_normal((3, 2 * n0))
+        tol = 1e-15 * max(1.0, np.max(np.linalg.norm(v, axis=-1)))
+        for kind, block in blocks.items():
+            assert np.max(np.abs(basis.analysis(v, kind) - v @ block.T)) <= tol
+
+
 def test_dwt_matches_basis_matrix_at_length_64():
     basis = _basis(3)
     q = 6
