@@ -9,7 +9,6 @@ from .analysis import (
     coherence,
     coherence_report,
     column_tail_norms,
-    local_coherence,
     m_tilde,
     relative_sparsity_bound,
     relative_sparsity_exact,

@@ -87,14 +87,6 @@ def coherence_report(op):
     )
 
 
-def local_coherence(op, k, l=None):
-    """Single (k, l) local coherence; l=None gives the tail variant."""
-    rep = coherence_report(op)
-    if l is None:
-        return float(rep.mu_inf[k - 1])
-    return float(rep.mu[k - 1, l - 1])
-
-
 def relative_sparsity_exact(op, s, cap=16):
     """Exact per-level relative sparsities by vertex enumeration.
 
@@ -178,42 +170,38 @@ def sparsity_report(op, s, constant=1.0, expansion=None, cap=16):
     )
 
 
-def tail_norm(op, N, M, tol=1e-8, max_iter=10000, seed=7):
+def tail_norm(op, N, M):
     """||P_N-perp U P_M||_2 over the tabulated band.
 
-    When the tail block fits in memory it is read from batches of columns
-    and its largest singular value is the square root of the top eigenvalue
-    of its M x M Gram matrix; otherwise power iteration on the normal map
-    runs instead (which can under-resolve clustered spectra, hence the
-    preference for the dense route)."""
+    The square root of the top eigenvalue of the normal map
+    v -> P_M U^T P_N-perp U v, found matrix-free by Lanczos with full
+    reorthogonalization from a fixed start.  It stops once the top Ritz
+    pair's residual bound beta_k |s_k| falls to rounding level, on an
+    invariant subspace (beta_k = 0), or after M steps."""
     if M > op.levels.M_r or N > (1 << op.Q):
         raise ValueError("section outside the tabulated operator range")
-    n_grid = 1 << op.Q
-    if (n_grid - N) * M <= (1 << 24):
-        block = np.empty((M, n_grid - N))  # tail columns as rows
-        for batch in op.batches(M):
-            block[batch] = op.column(np.arange(M)[batch])[:, N:]
-        if not block.size:
-            return 0.0
-        sv = math.sqrt(max(np.linalg.eigvalsh(block @ block.T)[-1], 0.0))
-        return sv if sv > 1e-14 else 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(M)
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    full = np.arange(n_grid)
-    for _ in range(max_iter):
-        g = op.apply(v, full)
+    full = np.arange(1 << op.Q)
+    if M == 0 or N == full.size:
+        return 0.0
+    v = np.random.default_rng(7).standard_normal(M)
+    basis = [v / np.linalg.norm(v)]
+    alpha, beta = [], []
+    for _ in range(M):
+        g = op.apply(basis[-1], full)
         g[:N] = 0.0
         w = op.apply_adjoint(g, full, L=M)
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-        if abs(lam - lam_prev) <= tol * max(lam, 1.0):
+        alpha.append(basis[-1] @ w)
+        q = np.array(basis)
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            w -= (q @ w) @ q
+        b = float(np.linalg.norm(w))
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        if b * abs(s[-1, -1]) <= 16 * np.finfo(float).eps * theta[-1] or b == 0.0:
             break
-        lam_prev = lam
-    return math.sqrt(lam)
+        beta.append(b)
+        basis.append(w / b)
+    sv = math.sqrt(max(theta[-1], 0.0))
+    return sv if sv > 1e-14 else 0.0
 
 
 @dataclass

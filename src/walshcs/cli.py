@@ -193,9 +193,7 @@ def cmd_analyze(args):
     weights = sampling.allocation_weights(profile, levels)
     with open(os.path.join(args.out, f"sparsity_p{p}_N{args.N}.csv"), "w") as fh:
         fh.write("k,s_k,levels_weight,exact_S_k\n")
-        exact = (
-            analysis.relative_sparsity_exact(op, s) if levels.M_r <= 16 else None
-        )
+        exact = analysis.sparsity_report(op, s).exact
         for k in range(1, levels.r + 1):
             tail = f",{exact[k - 1]:.17g}" if exact is not None else ","
             fh.write(f"{k},{s[k - 1]},{weights[k - 1]:.17g}{tail}\n")

@@ -118,6 +118,10 @@ class CobOperator:
             raise ValueError("omega must be a 1-D index set")
         if omega.size and (omega.min() < 0 or omega.max() >= self.n_grid):
             raise ValueError(f"omega indices must lie in [0, 2^{self.Q})")
+        # apply_adjoint scatters onto the grid, where a repeat keeps one value
+        ordered = np.sort(omega)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ValueError("omega indices must not repeat")
         return omega
 
     def batches(self, count):
@@ -144,18 +148,18 @@ class CobOperator:
             raise ValueError(f"row {i} outside the tabulated range [0, 2^{self.Q})")
         return float(self.column(j)[i])
 
-    def section_dense(self, N, M, row_offset=0):
-        """Dense section of rows [row_offset, row_offset + N) and columns < M,
-        read from batches of columns (each synthesized afresh)."""
+    def section_dense(self, N, M):
+        """Dense section of rows < N and columns < M, read from batches of
+        columns (each synthesized afresh)."""
         if N > SECTION_GUARD or M > SECTION_GUARD:
             raise SizeGuardError(
                 f"requested {N} x {M} section exceeds the {SECTION_GUARD} guard"
             )
-        if min(row_offset, N) < 0 or row_offset + N > self.n_grid or M > self.levels.M_r:
+        if not 0 <= N <= self.n_grid or M > self.levels.M_r:
             raise ValueError("section outside the tabulated operator range")
         out = np.empty((N, M))
         for batch in self.batches(M):
-            out[:, batch] = self.column(np.arange(M)[batch])[:, row_offset : row_offset + N].T
+            out[:, batch] = self.column(np.arange(M)[batch])[:, :N].T
         return out
 
     def rows_dense(self, row_indices, M):

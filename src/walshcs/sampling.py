@@ -226,8 +226,9 @@ def save_scheme(scheme, path):
 
 
 def load_scheme(path):
-    """Inverse of save_scheme; raises ValueError when an index leaves
-    [0, N_r) or the per-level counts differ from the header's m."""
+    """Inverse of save_scheme; raises ValueError when the header lacks J0,
+    r, q or m, an index leaves [0, N_r) or the per-level counts differ from
+    the header's m."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
@@ -236,6 +237,9 @@ def load_scheme(path):
             part.split("=", 1) for part in header[1:].split() if "=" in part
         )
         indices = np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
+    missing = [key for key in ("J0", "r", "q", "m") if key not in fields]
+    if missing:
+        raise ValueError(f"scheme header lacks {', '.join(missing)}")
     levels = LevelStructure(int(fields["J0"]), int(fields["r"]), int(fields["q"]))
     seed = None if fields.get("seed") in (None, "None") else int(fields["seed"])
     if indices.size and (indices.min() < 0 or indices.max() >= levels.N_r):

@@ -8,7 +8,6 @@ from walshcs.analysis import (
     coherence,
     coherence_report,
     column_tail_norms,
-    local_coherence,
     m_tilde,
     relative_sparsity_bound,
     relative_sparsity_exact,
@@ -45,7 +44,7 @@ def test_haar_local_coherence_closed_form():
             expect = 2.0 ** -(k - 1) if k == l else 0.0
             assert abs(rep.mu[k - 1, l - 1] - expect) < 1e-14
     assert abs(rep.fitted_constant - 1.0) < 1e-12
-    assert abs(local_coherence(op, 2, 2) - 0.5) < 1e-14
+    assert abs(rep.mu[1, 1] - 0.5) < 1e-14
 
 
 def test_local_coherence_consistency_with_dense_section():
@@ -129,6 +128,15 @@ def test_tail_norm_decay_trend():
     assert values[512] < values[256] < values[128]
     scaled = [values[n] ** 2 * n / 64 for n in (128, 256, 512)]
     assert max(scaled) / min(scaled) < 2.5
+
+
+def test_tail_norm_wide_tail_matches_section():
+    # the columns are unit-norm over the 2^Q rows, so the squared tail norm
+    # is one minus the smallest eigenvalue of the head section's Gram matrix
+    op = db_op(4, r=7, Q=15)
+    s = op.section_dense(2048, 1024)
+    reference = np.sqrt(1.0 - np.linalg.eigvalsh(s.T @ s)[0])
+    assert abs(tail_norm(op, 2048, 1024) - reference) <= 1e-12 * reference
 
 
 def test_balancing_haar_exact():

@@ -127,6 +127,13 @@ def test_full_omega_isometry_haar():
     x = rng.standard_normal(op.levels.M_r)
     g = op.apply(x, np.arange(1 << op.Q))
     assert abs(np.linalg.norm(g) - np.linalg.norm(x)) < 1e-12
+    # a repeated index would keep only its last value in the adjoint
+    op = haar_op(r=3)
+    omega = np.array([3, 3])
+    with pytest.raises(ValueError):
+        op.apply(x[: op.levels.M_r], omega)
+    with pytest.raises(ValueError):
+        op.apply_adjoint(np.ones(2), omega)
 
 
 def test_section_dense_guard_and_shape():
@@ -135,11 +142,9 @@ def test_section_dense_guard_and_shape():
     assert s.shape == (16, 16)
     with pytest.raises(SizeGuardError):
         op.section_dense(1 << 13, 4)
-    # a negative start would wrap around to the last rows of the grid
+    # a negative row count would slice from the end of the grid
     with pytest.raises(ValueError):
-        op.section_dense(4, 4, row_offset=-8)
-    with pytest.raises(ValueError):
-        op.section_dense(-4, 4, row_offset=8)
+        op.section_dense(-4, 4)
     assert np.max(np.linalg.norm(s, axis=0)) <= 1.0 + 1e-10
 
 

@@ -202,3 +202,7 @@ def test_serialization_roundtrip(tmp_path):
     path.write_text(header + inside)
     with pytest.raises(ValueError):
         load_scheme(path)
+    # a header without q or m is rejected by name
+    path.write_text("# J0=3 r=2 seed=1\n" + inside)
+    with pytest.raises(ValueError, match="q, m"):
+        load_scheme(path)
