@@ -7,6 +7,19 @@ i < 2^Q is constant on the grid cells, the sequency transform of that
 surrogate gives the inner products exactly (the only error is the
 surrogate itself, O(2^-(Q-R)) for order p >= 3 and zero for Haar).
 Forward and adjoint applications are exact transposes of each other.
+
+Band identity: Wal(n, .) with n < 2^m is constant on the cells of width
+2^-m, so its integral against the scale-Q surrogate equals its integral
+against the surrogate's cell averages at scale m.  apply therefore works at
+the scale m = max(bit length of max omega, scale of the last coefficient):
+it synthesizes up to level m, applies the banded map B_(Q-m) of the basis
+(WaveletBasis.average: the scale-m cell averages of the surrogate refined to
+scale Q) and runs the sequency transform at 2^m.  This is the same linear
+map as the full-grid route, not an approximation of it; only the rounding
+differs (about 1e-15 relative).  apply_adjoint is its transpose: scatter at
+2^m, inverse transform, B^T, analysis from level m, skipping the wavelet
+levels at or above L.  When a sample reaches 2^(Q-1), m = Q, B is the
+identity and is not applied, and the full-grid operations run unchanged.
 """
 
 from __future__ import annotations
@@ -76,11 +89,9 @@ class CobOperator:
 
     # -- fast paths ---------------------------------------------------------
 
-    def synthesize(self, coeffs):
-        """Grid cell averages of the expansion (length <= M_r).
-
-        The expansion is built up to the level holding its last coefficient;
-        dwt_inverse treats the levels above it as zero."""
+    def _expansion(self, coeffs):
+        """A coefficient array (length <= M_r) or expansion as an expansion
+        up to the level holding its last coefficient."""
         if isinstance(coeffs, SignalExpansion):
             coeffs = coeffs.coeffs
         coeffs = np.asarray(coeffs, dtype=float)
@@ -88,29 +99,51 @@ class CobOperator:
         if n > self.levels.M_r:
             raise ValueError("coefficient vector longer than the level structure")
         j0 = self.levels.J0
-        top = max(j0 + 1, (n - 1).bit_length())
+        top = self._top(n)
         full = np.zeros(coeffs.shape[:-1] + (1 << top,))
         full[..., :n] = coeffs
-        exp = SignalExpansion(levels=LevelStructure(j0, top - j0), coeffs=full)
-        return dwt_inverse(exp, self.basis, self.Q)
+        return SignalExpansion(levels=LevelStructure(j0, top - j0), coeffs=full)
+
+    def _top(self, n):
+        """Scale of the expansion holding the first n coefficients."""
+        return min(self.Q, max(self.levels.J0 + 1, (n - 1).bit_length()))
+
+    def synthesize(self, coeffs):
+        """Grid cell averages of the expansion (length <= M_r).
+
+        The expansion is built up to the level holding its last coefficient;
+        dwt_inverse treats the levels above it as zero."""
+        return dwt_inverse(self._expansion(coeffs), self.basis, self.Q)
 
     def apply(self, coeffs, omega):
-        """Walsh samples of the synthesized expansion at the indices omega."""
+        """Walsh samples of the synthesized expansion at the indices omega,
+        computed at the working scale m from the cell averages B_(Q-m) of
+        the surrogate (see the module docstring)."""
         omega = self._check_omega(omega)
-        return np.take(fwht_sequency(self.synthesize(coeffs)), omega, axis=-1)
+        exp = self._expansion(coeffs)
+        m = max(exp.levels.J0 + exp.levels.r, int(omega.max(initial=0)).bit_length())
+        grid = dwt_inverse(exp, self.basis, m)
+        if m < self.Q:
+            grid = self.basis.average(grid, self.Q - m)
+        return np.take(fwht_sequency(grid), omega, axis=-1)
 
     def apply_adjoint(self, values, omega, L=None):
-        """Exact transpose of apply, truncated to the first L coefficients."""
+        """Exact transpose of apply, truncated to the first L coefficients;
+        wavelet levels at or above L are not analysed."""
         omega = self._check_omega(omega)
         values = np.asarray(values, dtype=float)
         if values.shape[-1:] != omega.shape:
             raise ValueError("values and omega must have matching shapes")
         if L is None:
             L = self.levels.M_r
-        grid = np.zeros(values.shape[:-1] + (self.n_grid,))
+        top = self._top(L)
+        m = max(top, int(omega.max(initial=0)).bit_length())
+        grid = np.zeros(values.shape[:-1] + (1 << m,))
         grid.T[omega] = values.T  # along the last axis, without an Ellipsis index
-        exp = dwt_forward(ifwht_sequency(grid), self.basis)
-        return exp.coeffs[..., :L]
+        grid = ifwht_sequency(grid)
+        if m < self.Q:
+            grid = self.basis.average_adjoint(grid, self.Q - m)
+        return dwt_forward(grid, self.basis, top=top).coeffs[..., :L]
 
     def _check_omega(self, omega):
         omega = np.asarray(omega, dtype=np.int64)
@@ -146,7 +179,11 @@ class CobOperator:
         """Single entry u[i, j] = <Wal(i,.), basis function j>."""
         if not 0 <= i < self.n_grid:
             raise ValueError(f"row {i} outside the tabulated range [0, 2^{self.Q})")
-        return float(self.column(j)[i])
+        if not 0 <= j < self.levels.M_r:
+            raise ValueError(f"column index outside the level structure [0, {self.levels.M_r})")
+        one_hot = np.zeros(j + 1)
+        one_hot[j] = 1.0
+        return float(self.apply(one_hot, [i])[0])
 
     def section_dense(self, N, M):
         """Dense section of rows < N and columns < M, read from batches of

@@ -158,13 +158,18 @@ def solve_bpdn(op, omega, g, cfg=None):
 
 
 def truncated_walsh(samples_first_n, Q):
-    """Inverse sequency transform of the zero-padded first-N sample vector."""
+    """Inverse sequency transform of the zero-padded first-N sample vector.
+
+    Walsh functions below 2^k are constant on cells of width 2^-k, so the
+    transform runs at the smallest such 2^k and each value is repeated over
+    the 2^(Q-k) grid cells of its cell."""
     samples = np.asarray(samples_first_n, dtype=float)
     if samples.size > (1 << Q):
         raise ValueError("more samples than grid cells")
-    padded = np.zeros(1 << Q)
+    k = max(samples.size - 1, 0).bit_length()
+    padded = np.zeros(1 << k)
     padded[: samples.size] = samples
-    return ifwht_sequency(padded)
+    return np.repeat(ifwht_sequency(padded), 1 << (Q - k))
 
 
 def relative_l2_error(estimate, reference):

@@ -310,6 +310,7 @@ class WaveletBasis:
     GL: np.ndarray = field(repr=False)
     GR: np.ndarray = field(repr=False)
     _edge_wavelet_cache: dict = field(default_factory=dict, repr=False)
+    _average_map_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def filter_width(self):
@@ -332,48 +333,52 @@ class WaveletBasis:
             return taps, self.GL, self.GR[:, ::-1]
         return (taps, *self._edge_wavelets(n0))
 
-    # -- structured two-scale applications ---------------------------------
+    # -- structured banded maps ---------------------------------------------
     # Both directions act along the last axis; leading axes are a batch.
-    # The bodies index transposed views (transform axis first) with plain
-    # slices, which numpy resolves faster than slices behind an Ellipsis.
 
     def synthesis(self, c, kind="scaling"):
         """Apply the level -> level+1 map of `kind` to coefficients c."""
         c = np.asarray(c, dtype=float).T
-        n0 = c.shape[0]
-        taps, left, right = self._level_map(n0, kind)
-        p = self.p
-        out = np.zeros((2 * n0,) + c.shape[1:])
-        out[: left.shape[1]] += _matmul_lead(left.T, c[:p])
-        out[2 * n0 - right.shape[1] :] += _matmul_lead(right.T, c[n0 - p :][::-1])
-        if n0 > 2 * p:
-            mid = c[p : n0 - p]
-            for i, tap in enumerate(taps):
-                t = i - p + 1
-                out[2 * p + t : 2 * (n0 - p) + t : 2] += tap * mid
-        return out.T
+        return _band_apply(c, *self._level_map(c.shape[0], kind), 2).T
 
     def analysis(self, v, kind="scaling"):
         """Transpose of synthesis (level+1 -> level)."""
         v = np.asarray(v, dtype=float).T
-        n1 = v.shape[0]
-        n0 = n1 // 2
-        taps, left, right = self._level_map(n0, kind)
-        p = self.p
-        c = np.zeros((n0,) + v.shape[1:])
-        # the interior goes first, through its own accumulator: accumulating
-        # in place after the edges changed the allocation order enough for
-        # glibc to hand the heap top back to the OS between solver steps
-        # (about 700 extra page faults per step, 15-20% slower solves)
-        if n0 > 2 * p:
-            acc = np.zeros((n0 - 2 * p,) + v.shape[1:])
-            for i, tap in enumerate(taps):
-                t = i - p + 1
-                acc += tap * v[2 * p + t : 2 * (n0 - p) + t : 2]
-            c[p : n0 - p] = acc
-        c[:p] += _matmul_lead(left, v[: left.shape[1]])
-        c[n0 - p :] += _matmul_lead(right, v[n1 - right.shape[1] :])[::-1]
-        return c.T
+        return _band_transpose(v, *self._level_map(v.shape[0] // 2, kind), 2).T
+
+    def _average_map(self, depth):
+        """B_depth as (taps, left, right) like _level_map: 2p - 1 interior
+        taps on offsets -p+1 .. p-1 and p x (2p - 1) edge blocks.  It takes
+        scale-j grid values to the scale-j cell averages of the same
+        function's grid values depth octaves finer, at every level of at
+        least 4p - 2 coefficients (2 for Haar).  Read off a reference level
+        of 8p coefficients through a comb of unit vectors whose footprints
+        never meet, by B_d = 2^(-1/2) (pair sums) B_(d-1) (one refinement);
+        refining d levels at once would let the rounding error grow with d.
+        Cached per depth."""
+        if depth not in self._average_map_cache:
+            p = self.p
+            n, width = 8 * p, 2 * p - 1
+            edge = np.arange(p)
+            comb = np.zeros((p, n))
+            comb[edge, edge] = comb[edge, n - 1 - edge] = comb[0, n // 2] = 1.0
+            if depth:
+                fine = self.average(self.synthesis(comb), depth - 1)
+                comb = fine.reshape(p, n, 2).sum(axis=-1) * 2.0**-0.5
+            taps = comb[0, n // 2 - p + 1 : n // 2 + p]
+            self._average_map_cache[depth] = (taps, comb[:, :width], comb[:, n - width :])
+        return self._average_map_cache[depth]
+
+    def average(self, v, depth):
+        """B_depth along the last axis of scale-j grid values v: the scale-j
+        cell averages of the function's grid values depth octaves finer."""
+        v = np.asarray(v, dtype=float).T
+        return _band_apply(v, *self._average_map(depth), 1).T
+
+    def average_adjoint(self, w, depth):
+        """Transpose of average."""
+        w = np.asarray(w, dtype=float).T
+        return _band_transpose(w, *self._average_map(depth), 1).T
 
     def _edge_wavelets(self, n0):
         """Edge wavelets of the level of size n0, as rows over the 2 * n0
@@ -396,6 +401,50 @@ class WaveletBasis:
 def _matmul_lead(m, x):
     """m @ x contracting the leading axis of x, whatever axes follow it."""
     return (x.T @ m.T).T
+
+
+# A banded map as (taps, left, right) of _level_map or _average_map: n0
+# coefficients go to step * n0 values; interior coefficient s adds
+# taps[i] * c[s] at step * s + i - p + 1, the first p coefficients (the p
+# rows of left) go through the left block and the last p, mirrored, through
+# the right one.  Both directions act on the leading axis; the bodies index
+# it with plain slices, which numpy resolves faster than slices behind an
+# Ellipsis.
+
+
+def _band_apply(c, taps, left, right, step):
+    p = left.shape[0]
+    n0 = c.shape[0]
+    n1 = step * n0
+    out = np.zeros((n1,) + c.shape[1:])
+    out[: left.shape[1]] += _matmul_lead(left.T, c[:p])
+    out[n1 - right.shape[1] :] += _matmul_lead(right.T, c[n0 - p :][::-1])
+    if n0 > 2 * p:
+        mid = c[p : n0 - p]
+        for i, tap in enumerate(taps):
+            t = i - p + 1
+            out[step * p + t : step * (n0 - p) + t : step] += tap * mid
+    return out
+
+
+def _band_transpose(v, taps, left, right, step):
+    p = left.shape[0]
+    n1 = v.shape[0]
+    n0 = n1 // step
+    c = np.zeros((n0,) + v.shape[1:])
+    # the interior goes first, through its own accumulator: accumulating
+    # in place after the edges changed the allocation order enough for
+    # glibc to hand the heap top back to the OS between solver steps
+    # (about 700 extra page faults per step, 15-20% slower solves)
+    if n0 > 2 * p:
+        acc = np.zeros((n0 - 2 * p,) + v.shape[1:])
+        for i, tap in enumerate(taps):
+            t = i - p + 1
+            acc += tap * v[step * p + t : step * (n0 - p) + t : step]
+        c[p : n0 - p] = acc
+    c[:p] += _matmul_lead(left, v[: left.shape[1]])
+    c[n0 - p :] += _matmul_lead(right, v[n1 - right.shape[1] :])[::-1]
+    return c
 
 
 _FILTER_CACHE = {}
@@ -520,12 +569,14 @@ class SignalExpansion:
         return self.coeffs[..., 1 << j : 1 << (j + 1)]
 
 
-def dwt_forward(samples, basis, coarsest=None):
+def dwt_forward(samples, basis, coarsest=None, top=None):
     """Full discrete wavelet analysis of cell averages on a dyadic grid.
 
     Returns a SignalExpansion of L2([0,1]) coefficients: scaling block at
-    level `coarsest` (default basis.J0), then wavelet levels up to the grid
-    scale.  Exact inverse of dwt_inverse at the same scale.  Acts along the
+    level `coarsest` (default basis.J0), then wavelet levels below `top`
+    (default the grid scale; the levels at or above it are not analysed,
+    which makes this the transpose of dwt_inverse of an expansion ending at
+    `top`).  Exact inverse of dwt_inverse at the same scale.  Acts along the
     last axis; leading axes are a batch.
     """
     v = np.asarray(samples, dtype=float)
@@ -536,13 +587,17 @@ def dwt_forward(samples, basis, coarsest=None):
     r0 = basis.J0 if coarsest is None else coarsest
     if not basis.J0 <= r0 < big_q:
         raise ValueError("coarsest level must satisfy J0 <= R < Q")
+    top = big_q if top is None else top
+    if not r0 < top <= big_q:
+        raise ValueError("expansion scale must satisfy R < top <= Q")
     c = v * 2.0 ** (-big_q / 2.0)
-    out = np.empty(v.shape)
+    out = np.empty(v.shape[:-1] + (1 << top,))
     for j in range(big_q - 1, r0 - 1, -1):
-        out[..., 1 << j : 1 << (j + 1)] = basis.analysis(c, "wavelet")
+        if j < top:
+            out[..., 1 << j : 1 << (j + 1)] = basis.analysis(c, "wavelet")
         c = basis.analysis(c)
     out[..., : 1 << r0] = c
-    return SignalExpansion(levels=LevelStructure(J0=r0, r=big_q - r0), coeffs=out)
+    return SignalExpansion(levels=LevelStructure(J0=r0, r=top - r0), coeffs=out)
 
 
 def dwt_inverse(expansion, basis, Q):

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walshcs import operator
@@ -13,7 +13,8 @@ from walshcs.operator import (
     write_matrix_csv,
     write_pgm,
 )
-from walshcs.wavelets import LevelStructure, build_basis
+from walshcs.walsh import fwht_sequency, ifwht_sequency
+from walshcs.wavelets import LevelStructure, SignalExpansion, build_basis, dwt_forward
 
 
 def haar_op(r=4, Q=None):
@@ -100,6 +101,51 @@ def test_adjoint_identity(p, batch):
         padded = np.zeros(xs.shape)
         padded[..., :n] = xs[..., :n]
         assert np.array_equal(op.synthesize(xs[..., :n]), op.synthesize(padded))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([1, 3, 4, 8]),
+    k=st.integers(0, 13),
+    L=st.sampled_from([1 << 10, 1000]),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    as_expansion=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=4, k=13, L=1 << 10, batch=[], as_expansion=False, seed=0)
+@example(p=8, k=13, L=1000, batch=[2], as_expansion=True, seed=1)
+def test_band_route_matches_full_grid(p, k, L, batch, as_expansion, seed):
+    # samples below 2^k and coefficients below L: apply / apply_adjoint run
+    # at the working scale m and must match the transforms on the full
+    # 2^Q grid (M_r = 2^10, Q = 13), and equal them where m = Q.  Both routes
+    # round: the two adjoints each lie within 1.3e-15 relative of a
+    # long-double evaluation, and the routes differ by at most 1.8e-15
+    # relative over 2000 random draws
+    j0 = {1: 0, 3: 3, 4: 3, 8: 4}[p]
+    op = CobOperator(build_basis(p, j0), LevelStructure(J0=j0, r=10 - j0))
+    rng = np.random.default_rng(seed)
+    omega = rng.choice(1 << k, min(1 << k, 50), replace=False)
+    x = rng.standard_normal((*batch, L))
+    y = rng.standard_normal((*batch, omega.size))
+    coeffs = x
+    if as_expansion:
+        padded = np.zeros((*batch, op.levels.M_r))
+        padded[..., :L] = x
+        coeffs = SignalExpansion(levels=op.levels, coeffs=padded)
+    fwd = op.apply(coeffs, omega)
+    ref_fwd = np.take(fwht_sequency(op.synthesize(coeffs)), omega, axis=-1)
+    adj = op.apply_adjoint(y, omega, L=L)
+    grid = np.zeros((*batch, op.n_grid))
+    grid[..., omega] = y
+    ref_adj = dwt_forward(ifwht_sequency(grid), op.basis).coeffs[..., :L]
+    assert fwd.shape == y.shape and adj.shape == x.shape
+    for got, ref in ((fwd, ref_fwd), (adj, ref_adj)):
+        assert np.max(np.abs(got - ref)) <= 3e-15 * max(1.0, np.max(np.abs(ref)))
+        if int(omega.max()).bit_length() == op.Q:
+            assert np.array_equal(got, ref)
+    lhs = np.sum(fwd * y, axis=-1)
+    rhs = np.sum(x * adj, axis=-1)
+    assert np.all(np.abs(lhs - rhs) <= 1e-13 * np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1))
 
 
 @pytest.mark.parametrize("p", [1, 4])
@@ -193,8 +239,6 @@ def test_dc_row_matches_refined_quadrature():
 
 
 def test_apply_accepts_expansion():
-    from walshcs.wavelets import SignalExpansion
-
     op = haar_op()
     exp = SignalExpansion(levels=op.levels, coeffs=np.arange(16, dtype=float))
     direct = op.apply(exp.coeffs, np.arange(8))

@@ -10,7 +10,7 @@ from walshcs.reconstruct import (
     truncated_walsh,
 )
 from walshcs.signals import signal_jump, signal_smooth
-from walshcs.walsh import DyadicPoint, fwht_sequency, wal_eval
+from walshcs.walsh import DyadicPoint, fwht_sequency, ifwht_sequency, wal_eval
 from walshcs.wavelets import LevelStructure, build_basis
 
 
@@ -102,6 +102,15 @@ def test_truncated_walsh_exact_for_finite_series():
     samples = fwht_sequency(coarse)[:8]
     rec = truncated_walsh(samples, 7)
     assert np.max(np.abs(rec - coarse)) < 1e-12
+    # the band-limited transform equals transforming the zero-padded grid
+    for q in (7, 12, 15):
+        for n in (1, 2, 3, 16, 32, 33, 64, 100, 256, 1 << q):
+            if n > 1 << q:
+                continue
+            samples = rng.standard_normal(n)
+            padded = np.zeros(1 << q)
+            padded[:n] = samples
+            assert np.array_equal(truncated_walsh(samples, q), ifwht_sequency(padded))
     with pytest.raises(ValueError):
         truncated_walsh(np.ones(16), 3)
 

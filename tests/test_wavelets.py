@@ -162,6 +162,9 @@ def test_dwt_round_trip(p, batch, octaves):
     assert back.shape == (*batch, 2 << q)
     assert_matches_stack(back, np.reshape(rows_back, back.shape))
     assert np.max(np.abs(dwt_inverse(exp, basis, q) - stack)) < 1e-10
+    # an expansion cut at scale top skips the levels above and keeps the rest
+    cut = dwt_forward(stack, basis, top=basis.J0 + 1)
+    assert np.array_equal(cut.coeffs, exp.coeffs[..., : 2 << basis.J0])
 
 
 @pytest.mark.parametrize("p", [1, 3, 4, 5, 6, 7, 8, 9, 10])
@@ -179,6 +182,25 @@ def test_two_scale_map_orthogonal_and_transposed(p):
         tol = 1e-15 * max(1.0, np.max(np.linalg.norm(v, axis=-1)))
         for kind, block in blocks.items():
             assert np.max(np.abs(basis.analysis(v, kind) - v @ block.T)) <= tol
+
+
+@pytest.mark.parametrize("p", [1, 3, 4, 5, 6, 7, 8, 9, 10])
+def test_average_map_matches_refined_identity(p):
+    # the banded B_d read off the reference level against refining the
+    # identity d levels at once and averaging, at the smallest level the
+    # operator applies it to and at one above the reference level: bitwise
+    # for d <= 1, beyond that the one-shot refinement rounds differently
+    # (measured at most 1.3e-15, Haar at d = 7)
+    basis = _basis(p)
+    for n in (2 << basis.J0, 16 * p):
+        for d in (0, 1, 3, 7):
+            fine = np.eye(n)
+            for _ in range(d):
+                fine = basis.synthesis(fine)
+            brute = fine.reshape(n, n, 1 << d).sum(axis=-1) * 2.0 ** (-d / 2)
+            band = basis.average(np.eye(n), d)
+            assert np.max(np.abs(band - brute)) <= (0.0 if d <= 1 else 2e-15)
+            assert np.array_equal(basis.average_adjoint(np.eye(n), d), band.T)
 
 
 def test_dwt_matches_basis_matrix_at_length_64():
