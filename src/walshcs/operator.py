@@ -128,14 +128,17 @@ class CobOperator:
         return np.take(fwht_sequency(grid), omega, axis=-1)
 
     def apply_adjoint(self, values, omega, L=None):
-        """Exact transpose of apply, truncated to the first L coefficients;
-        wavelet levels at or above L are not analysed."""
+        """Exact transpose of apply, truncated to the first L coefficients
+        (default M_r); wavelet levels at or above L are not analysed.  L may
+        reach past the level structure up to the tabulated band 2^Q, whose
+        columns the analysis reports sum over."""
         omega = self._check_omega(omega)
         values = np.asarray(values, dtype=float)
         if values.shape[-1:] != omega.shape:
             raise ValueError("values and omega must have matching shapes")
-        if L is None:
-            L = self.levels.M_r
+        L = self.levels.M_r if L is None else int(L)
+        if not 1 <= L <= self.n_grid:
+            raise ValueError(f"L must lie in [1, 2^{self.Q}], got {L}")
         top = self._top(L)
         m = max(top, int(omega.max(initial=0)).bit_length())
         grid = np.zeros(values.shape[:-1] + (1 << m,))

@@ -17,6 +17,7 @@ point x in [0,1) has fractional bits x_1 x_2 ... (x_1 has weight 1/2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,27 +167,52 @@ def ordering_convert(n, from_ordering, to_ordering, bits=None):
     return bit_reverse(p, bits)
 
 
-def _check_power_of_two(n):
+def _check_length(v):
+    if v.ndim == 0:
+        raise ValueError("transforms need at least one axis")
+    n = v.shape[-1]
     if n < 1 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
     return n.bit_length() - 1
 
 
-def _hadamard_inplace(v):
-    # Sylvester (natural) order butterfly along the last axis, O(N log N).
-    # It runs on a transform-axis-first copy of a batch (a 1-D v is used in
-    # place), so each butterfly adds whole contiguous runs of the batch.
+def _butterflies(w, bits, stages, t):
+    # Sylvester stages s in `stages` over the leading 2^bits of the contiguous
+    # array w: pairs 2^s apart along that axis; t is scratch of w.size / 2.
+    n, run = 1 << bits, w.size >> bits
+    for s in stages:
+        w = w.reshape(n >> (s + 1), 2, run << s)
+        a, b = w[:, 0, :], w[:, 1, :]
+        d = t[: a.size].reshape(a.shape)
+        np.subtract(a, b, out=d)
+        a += b
+        b[...] = d
+
+
+def _hadamard(v):
+    """Sylvester (natural) order Hadamard transform along the last axis, on a
+    copy of v, O(N log N).
+
+    Stage s = 0 .. J-1 adds and subtracts the values 2^s apart, with the same
+    two operations per element in any memory layout, so the layout changes
+    the speed, never a sum or its rounding.  In index order the early stages
+    of one vector would add runs of 1, 2, 4 values; a transposing copy first
+    puts the low k = J // 2 index bits on the leading axis, so their stages
+    add runs of 2^(J-k) * batch values or more.  A second copy restores index
+    order (transform axis first) for the other J - k stages, which add runs
+    of 2^k * batch or more.  One half-size buffer serves every stage.
+    """
     shape, n = v.shape, v.shape[-1]
-    w = np.ascontiguousarray(v.reshape(-1, n).T)
-    width = w.shape[1]
-    h = 1
-    while h < n:
-        w = w.reshape(n // (2 * h), 2, h * width)
-        a = w[:, 0, :] + w[:, 1, :]
-        b = w[:, 0, :] - w[:, 1, :]
-        w[:, 0, :] = a
-        w[:, 1, :] = b
-        h *= 2
+    j = n.bit_length() - 1
+    k = j // 2
+    width = math.prod(shape[:-1])
+    # ndarray.copy copies even where a transpose is a view (k = 0), so the
+    # stages never write to v
+    w = v.reshape(width, n >> k, 1 << k).transpose(2, 1, 0).copy()
+    t = np.empty(w.size // 2)
+    _butterflies(w, k, range(k), t)
+    w = w.transpose(1, 0, 2).copy()
+    _butterflies(w, j, range(k, j), t)
     return w.reshape(n, width).T.reshape(shape)
 
 
@@ -216,17 +242,16 @@ def fwht_sequency(v):
     Acts along the last axis; leading axes are a batch.
     """
     v = np.asarray(v, dtype=float)
-    j = _check_power_of_two(v.shape[-1])
-    h = _hadamard_inplace(v.copy())
-    return np.take(h, _sequency_perm(j)[0], axis=-1) / v.shape[-1]
+    j = _check_length(v)
+    return np.take(_hadamard(v), _sequency_perm(j)[0], axis=-1) / v.shape[-1]
 
 
 def ifwht_sequency(c):
     """Inverse of fwht_sequency: v[j] = sum_n c[n] * Wal(n, j / 2^J),
     along the last axis."""
     c = np.asarray(c, dtype=float)
-    j = _check_power_of_two(c.shape[-1])
-    return _hadamard_inplace(np.take(c, _sequency_perm(j)[1], axis=-1))
+    j = _check_length(c)
+    return _hadamard(np.take(c, _sequency_perm(j)[1], axis=-1))
 
 
 @dataclass(frozen=True)
@@ -275,7 +300,7 @@ def walsh_shift_identity_check(f_samples, t, s_indices=None, s_scale=None):
     bit conventions are self-consistent.
     """
     f = np.asarray(f_samples, dtype=float)
-    big_j = _check_power_of_two(f.shape[0])
+    big_j = _check_length(f)
     if t < 0:
         raise ValueError("shift t must be a non-negative integer")
     if s_scale is None:

@@ -96,6 +96,11 @@ def test_adjoint_identity(p, batch):
     rhs = np.sum(xs * adj, axis=-1)
     bound = 1e-10 * np.linalg.norm(xs, axis=-1) * np.linalg.norm(ys, axis=-1)
     assert np.all(np.abs(lhs - rhs) <= bound)
+    # L counts coefficients of the tabulated band: from 1 up to 2^Q
+    assert op.apply_adjoint(ys, omega, L=op.n_grid).shape == (*batch, op.n_grid)
+    for bad in (0, -3, op.n_grid + 1):
+        with pytest.raises(ValueError):
+            op.apply_adjoint(ys, omega, L=bad)
     # a short coefficient vector synthesizes as its zero-padded form
     for n in (1, m // 4 + batch[0]):
         padded = np.zeros(xs.shape)

@@ -10,6 +10,7 @@ from walshcs.walsh import (
     DyadicPoint,
     SequencyIndex,
     WalshPolynomial,
+    _hadamard,
     _sequency_perm,
     bit_reverse,
     fwht_sequency,
@@ -33,6 +34,39 @@ def bitloop_oracle(n, num, scale):
         xk1 = (num >> (scale - 1 - k)) & 1
         total += (nk + nk1) * xk1
     return -1 if total % 2 else 1
+
+
+def reference_hadamard_inplace(v):
+    # The plain butterfly that walsh._hadamard must match bit for bit: stage
+    # s = 0 .. J-1 adds and subtracts values 2^s apart, on a transform-axis-
+    # first copy of a batch (a 1-D v is used in place).
+    shape, n = v.shape, v.shape[-1]
+    w = np.ascontiguousarray(v.reshape(-1, n).T)
+    width = w.shape[1]
+    h = 1
+    while h < n:
+        w = w.reshape(n // (2 * h), 2, h * width)
+        a = w[:, 0, :] + w[:, 1, :]
+        b = w[:, 0, :] - w[:, 1, :]
+        w[:, 0, :] = a
+        w[:, 1, :] = b
+        h *= 2
+    return w.reshape(n, width).T.reshape(shape)
+
+
+orderings = st.sampled_from((KACZMARZ, PALEY, KRONECKER))
+
+
+@st.composite
+def widths_and_indices(draw):
+    bits = draw(st.integers(0, 62))
+    return bits, draw(st.integers(0, (1 << bits) - 1))
+
+
+@st.composite
+def dyadic_points(draw):
+    scale = draw(st.integers(0, 62))
+    return DyadicPoint(draw(st.integers(0, (1 << scale) - 1)), scale)
 
 
 def test_dyadic_point_validation():
@@ -95,14 +129,29 @@ def test_multiplicative_identity_all_orderings():
             assert lhs == wal_eval(zi, DyadicPoint(a ^ b, 8))
 
 
-def test_ordering_convert_identity_and_roundtrip():
+@settings(max_examples=200, deadline=None)
+@given(width_and_index=widths_and_indices(), frm=orderings, to=orderings)
+def test_ordering_convert_identity_and_roundtrip(width_and_index, frm, to):
     assert ordering_convert(0, KACZMARZ, PALEY) == 0
     assert ordering_convert(0, PALEY, KRONECKER, bits=4) == 0
     for n in range(1 << 10):
         assert ordering_convert(ordering_convert(n, KACZMARZ, PALEY), PALEY, KACZMARZ) == n
+    # any pair of orderings at any width up to 62 bits: the index stays in
+    # the width and converts back to itself
+    bits, n = width_and_index
+    m = ordering_convert(n, frm, to, bits=bits)
+    assert 0 <= m < 1 << bits
+    assert ordering_convert(m, to, frm, bits=bits) == n
 
 
-def test_ordering_convert_pointwise_agreement():
+@settings(max_examples=50, deadline=None)
+@given(
+    width_and_index=widths_and_indices(),
+    frm=orderings,
+    to=orderings,
+    points=st.lists(dyadic_points(), min_size=1, max_size=8),
+)
+def test_ordering_convert_pointwise_agreement(width_and_index, frm, to, points):
     pairs = [
         (KACZMARZ, PALEY),
         (PALEY, KACZMARZ),
@@ -111,13 +160,20 @@ def test_ordering_convert_pointwise_agreement():
         (PALEY, KRONECKER),
     ]
     for n in range(32):
-        for frm, to in pairs:
-            m = ordering_convert(n, frm, to, bits=5)
-            zi = SequencyIndex(n, frm, 5 if frm == KRONECKER else None)
-            zo = SequencyIndex(m, to, 5 if to == KRONECKER else None)
+        for a, b in pairs:
+            m = ordering_convert(n, a, b, bits=5)
+            zi = SequencyIndex(n, a, 5 if a == KRONECKER else None)
+            zo = SequencyIndex(m, b, 5 if b == KRONECKER else None)
             for j in range(32):
                 x = DyadicPoint(j, 5)
                 assert wal_eval(zi, x) == wal_eval(zo, x)
+    # the same function at points of any scale, for widths up to 62 bits
+    bits, n = width_and_index
+    m = ordering_convert(n, frm, to, bits=bits)
+    zi = SequencyIndex(n, frm, bits if frm == KRONECKER else None)
+    zo = SequencyIndex(m, to, bits if to == KRONECKER else None)
+    for x in points:
+        assert wal_eval(zi, x) == wal_eval(zo, x)
 
 
 def test_ordering_convert_bijection():
@@ -144,8 +200,8 @@ def test_fwht_trivial_examples():
 
 
 @settings(max_examples=20, deadline=None)
-@given(batch=st.lists(st.integers(1, 3), min_size=1, max_size=2), scale=st.integers(0, 10))
-def test_fwht_matches_naive_oracle(batch, scale):
+@given(batch=st.lists(st.integers(0, 3), min_size=1, max_size=2))
+def test_fwht_matches_naive_oracle(batch):
     rng = np.random.default_rng(1)
     for small in (3, 5):
         n = 1 << small
@@ -156,12 +212,34 @@ def test_fwht_matches_naive_oracle(batch, scale):
         v = rng.standard_normal(n)
         assert np.max(np.abs(fwht_sequency(v) - w @ v / n)) < 1e-12
         assert np.max(np.abs(ifwht_sequency(fwht_sequency(v)) - v)) < 1e-12
-    # a stack transforms exactly like its rows, one at a time
-    stack = rng.standard_normal((*batch, 1 << scale))
-    rows = stack.reshape(-1, 1 << scale)
-    for transform in (fwht_sequency, ifwht_sequency):
-        one_by_one = np.reshape([transform(row) for row in rows], stack.shape)
-        assert np.array_equal(transform(stack), one_by_one)
+    for scale in range(17):
+        n = 1 << scale
+        perm, inverse = _sequency_perm(scale)
+        references = {
+            _hadamard: lambda v: reference_hadamard_inplace(v.copy()),
+            fwht_sequency: lambda v: np.take(reference_hadamard_inplace(v.copy()), perm, axis=-1) / n,
+            ifwht_sequency: lambda c: reference_hadamard_inplace(np.take(c, inverse, axis=-1)),
+        }
+        stack = rng.standard_normal((*batch, n))
+        inputs = (
+            rng.standard_normal(n),
+            stack,
+            rng.standard_normal((*batch, 2 * n))[..., 1::2],  # strided
+            np.asfortranarray(stack),
+        )
+        for x in inputs:
+            before = x.copy()
+            for transform, reference in references.items():
+                got = transform(x)
+                assert got.shape == x.shape
+                assert np.array_equal(got, reference(x))
+                # the transforms work on a copy, never on the caller's array
+                assert np.array_equal(x, before)
+        # a stack transforms exactly like its rows, one at a time
+        rows = stack.reshape(-1, n)
+        for transform in (fwht_sequency, ifwht_sequency):
+            one_by_one = np.reshape([transform(row) for row in rows], stack.shape)
+            assert np.array_equal(transform(stack), one_by_one)
 
 
 def test_sequency_perm_matches_scalar_bit_reverse():
@@ -180,8 +258,12 @@ def test_fwht_parseval_scaling():
 
 
 def test_fwht_rejects_bad_length():
-    with pytest.raises(ValueError):
-        fwht_sequency(np.zeros(6))
+    for transform in (fwht_sequency, ifwht_sequency):
+        for bad in (np.zeros(6), np.zeros((2, 0)), np.float64(1.0)):
+            with pytest.raises(ValueError):
+                transform(bad)
+        # an empty batch is no error and keeps its shape
+        assert transform(np.zeros((0, 8))).shape == (0, 8)
 
 
 def test_walsh_polynomial_trivial_and_random():
