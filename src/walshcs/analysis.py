@@ -170,6 +170,12 @@ def sparsity_report(op, s, constant=1.0, expansion=None, cap=16):
     )
 
 
+def _check_section(op, N, M, max_cols):
+    """Reject rows < N, columns < M outside [0, 2^Q] x [0, max_cols]."""
+    if not (0 <= N <= 1 << op.Q and 0 <= M <= max_cols):
+        raise ValueError("section outside the tabulated operator range")
+
+
 def tail_norm(op, N, M):
     """||P_N-perp U P_M||_2 over the tabulated band.
 
@@ -178,8 +184,7 @@ def tail_norm(op, N, M):
     reorthogonalization from a fixed start.  It stops once the top Ritz
     pair's residual bound beta_k |s_k| falls to rounding level, on an
     invariant subspace (beta_k = 0), or after M steps."""
-    if M > op.levels.M_r or N > (1 << op.Q):
-        raise ValueError("section outside the tabulated operator range")
+    _check_section(op, N, M, op.levels.M_r)
     full = np.arange(1 << op.Q)
     if M == 0 or N == full.size:
         return 0.0
@@ -224,15 +229,14 @@ def balancing_check(op, N, M, K, s):
     """Strong balancing check at (N, M) for oversampling factor K and
     total sparsity s; both operator norms are sup row sums, with the
     complement part evaluated over the full tabulated band."""
-    if M > op.levels.M_r or N > (1 << op.Q):
-        raise ValueError("section outside the tabulated operator range")
+    _check_section(op, N, M, op.levels.M_r)
     n_grid = 1 << op.Q
     rows_n = np.arange(N)
     abs_acc = np.zeros(n_grid)
     head = np.empty((M, M))
     for batch in op.batches(M):
         # U* P_N U e_j for a batch of columns j
-        w = op.apply_adjoint(op.column(np.arange(M)[batch])[:, :N], rows_n, L=n_grid)
+        w = op.apply_adjoint(op.column(np.arange(M)[batch], N), rows_n, L=n_grid)
         abs_acc += np.abs(w).sum(axis=0)
         head[:, batch] = w[:, :M].T
     norm_head = float(np.max(np.abs(head - np.eye(M)).sum(axis=1)))
@@ -256,6 +260,7 @@ def balancing_check(op, N, M, K, s):
 def column_tail_norms(op, N, M_band=None):
     """Norms ||P_N U e_m||_2 for every column m below the band (default 2^Q)."""
     band = 1 << op.Q if M_band is None else M_band
+    _check_section(op, N, band, 1 << op.Q)
     rows = np.arange(N)
     acc = np.zeros(band)
     for batch in op.batches(N):

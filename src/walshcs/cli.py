@@ -105,17 +105,15 @@ def default_sparsity(levels):
 
 
 def _experiment_pieces(cfg):
-    """Shared setup: basis, operator, sampling scheme, rasterized signal."""
+    """Shared setup: operator, sampling levels and scheme, rasterized signal."""
     p, j0 = cfg["order"], cfg["J0"]
     if j0 < minimal_level(p):
         raise ConfigError(f"J0={j0} too small for order {p}")
     if cfg["R"] <= j0:
         raise ConfigError("need R > J0")
-    basis = build_basis(p, j0)
     samp_levels = LevelStructure(J0=j0, r=cfg["R"] - j0, q=cfg["q"])
     solve_r = max(cfg["L"].bit_length() - 1 - j0, samp_levels.r + samp_levels.q)
-    op_levels = LevelStructure(J0=j0, r=solve_r, q=0)
-    op = CobOperator(basis, op_levels)
+    op = CobOperator(build_basis(p, j0), LevelStructure(J0=j0, r=solve_r, q=0))
     sig = signals.make_signal(cfg["signal"], op.Q)
     s = cfg["s"] or default_sparsity(samp_levels)
     profile = sampling.SparsityProfile(s)
@@ -127,7 +125,7 @@ def _experiment_pieces(cfg):
         full_first=cfg["full_first"],
     )
     scheme = sampling.draw_scheme(samp_levels, m, cfg["seed"])
-    return basis, op, samp_levels, scheme, sig
+    return op, samp_levels, scheme, sig
 
 
 def _solver_config(cfg):
@@ -199,7 +197,7 @@ def cmd_analyze(args):
             fh.write(f"{k},{s[k - 1]},{weights[k - 1]:.17g}{tail}\n")
     big_m = levels.M_r
     rows = []
-    for big_n in {levels.N_r, min(2 * levels.N_r, 1 << op.Q)}:
+    for big_n in sorted({levels.N_r, min(2 * levels.N_r, 1 << op.Q)}):
         tn = analysis.tail_norm(op, big_n, min(big_m, big_n))
         bal = analysis.balancing_check(op, big_n, min(big_m, big_n), K=max(k_factor, 1.0), s=total_s)
         rows.append(
@@ -221,7 +219,7 @@ def cmd_analyze(args):
 
 def cmd_reconstruct(args):
     cfg = load_config(args.config, _override_dict(args))
-    basis, op, levels, scheme, sig = _experiment_pieces(cfg)
+    op, levels, scheme, sig = _experiment_pieces(cfg)
     result, grid, err = _reconstruct_once(op, scheme, sig, cfg)
     os.makedirs(args.out, exist_ok=True)
     tag = f"{cfg['signal']}_p{cfg['order']}_N{levels.N_r}_m{scheme.total}_seed{cfg['seed']}"
@@ -262,7 +260,7 @@ def cmd_errorcurve(args):
     for big_r, q in _n_list_settings(args.N_list, cfg):
         sub = dict(cfg)
         sub["R"], sub["q"] = big_r, q
-        basis, op, levels, scheme, sig = _experiment_pieces(sub)
+        op, levels, scheme, sig = _experiment_pieces(sub)
         result, grid, err = _reconstruct_once(op, scheme, sig, sub)
         rows.append((levels.N_r, err, _truncated_walsh(op, scheme, sig)[1]))
     path = os.path.join(
@@ -290,7 +288,7 @@ def _n_list_settings(n_list, cfg):
 
 def cmd_fliptest(args):
     cfg = load_config(args.config, _override_dict(args))
-    basis, op, levels, scheme, sig = _experiment_pieces(cfg)
+    op, levels, scheme, sig = _experiment_pieces(cfg)
     flipped = sampling.flip_pattern(scheme)
     os.makedirs(args.out, exist_ok=True)
     result, grid, err = _reconstruct_once(op, scheme, sig, cfg)
@@ -317,7 +315,7 @@ def cmd_sweep(args):
     for budget in args.budget_list:
         sub = dict(cfg)
         sub["budget"] = budget
-        basis, op, levels, scheme, sig = _experiment_pieces(sub)
+        op, levels, scheme, sig = _experiment_pieces(sub)
         result, grid, err = _reconstruct_once(op, scheme, sig, sub)
         rows.append((budget, err, _truncated_walsh(op, scheme, sig)[1]))
     path = os.path.join(

@@ -168,29 +168,27 @@ class CobOperator:
 
     # -- dense access -------------------------------------------------------
 
-    def column(self, j):
-        """Full column j over all 2^Q rows, or for an index array one column per
-        index stacked along the first axis; synthesized afresh on every call
-        from one-hot rows by one synthesize and one fwht_sequency (no cache)."""
+    def column(self, j, N):
+        """Column j over the rows below N, or for an index array one column per
+        index stacked along the first axis: one apply of one-hot rows (no
+        cache), which runs on the full 2^Q grid only for N above 2^(Q-1)."""
         j = np.asarray(j, dtype=np.int64)
         if j.size and (j.min() < 0 or j.max() >= self.levels.M_r):
             raise ValueError(f"column index outside the level structure [0, {self.levels.M_r})")
+        if not 0 <= N <= self.n_grid:
+            raise ValueError(f"row count must lie in [0, 2^{self.Q}], got {N}")
         one_hot = j[..., None] == np.arange(j.max(initial=0) + 1)
-        return fwht_sequency(self.synthesize(one_hot))
+        return self.apply(one_hot, np.arange(N))
 
     def entry(self, i, j):
-        """Single entry u[i, j] = <Wal(i,.), basis function j>."""
+        """Single entry u[i, j] = <Wal(i,.), basis function j>, read off column j."""
         if not 0 <= i < self.n_grid:
             raise ValueError(f"row {i} outside the tabulated range [0, 2^{self.Q})")
-        if not 0 <= j < self.levels.M_r:
-            raise ValueError(f"column index outside the level structure [0, {self.levels.M_r})")
-        one_hot = np.zeros(j + 1)
-        one_hot[j] = 1.0
-        return float(self.apply(one_hot, [i])[0])
+        return float(self.column(j, i + 1)[i])
 
     def section_dense(self, N, M):
         """Dense section of rows < N and columns < M, read from batches of
-        columns (each synthesized afresh)."""
+        columns (each read afresh)."""
         if N > SECTION_GUARD or M > SECTION_GUARD:
             raise SizeGuardError(
                 f"requested {N} x {M} section exceeds the {SECTION_GUARD} guard"
@@ -199,7 +197,7 @@ class CobOperator:
             raise ValueError("section outside the tabulated operator range")
         out = np.empty((N, M))
         for batch in self.batches(M):
-            out[:, batch] = self.column(np.arange(M)[batch])[:, :N].T
+            out[:, batch] = self.column(np.arange(M)[batch], N).T
         return out
 
     def rows_dense(self, row_indices, M):

@@ -569,27 +569,25 @@ class SignalExpansion:
         return self.coeffs[..., 1 << j : 1 << (j + 1)]
 
 
-def dwt_forward(samples, basis, coarsest=None, top=None):
+def dwt_forward(samples, basis, top=None):
     """Full discrete wavelet analysis of cell averages on a dyadic grid.
 
     Returns a SignalExpansion of L2([0,1]) coefficients: scaling block at
-    level `coarsest` (default basis.J0), then wavelet levels below `top`
-    (default the grid scale; the levels at or above it are not analysed,
-    which makes this the transpose of dwt_inverse of an expansion ending at
-    `top`).  Exact inverse of dwt_inverse at the same scale.  Acts along the
-    last axis; leading axes are a batch.
+    level basis.J0, then wavelet levels below `top` (default the grid scale;
+    the levels at or above it are not analysed, which makes this the
+    transpose of dwt_inverse of an expansion ending at `top`).  Exact
+    inverse of dwt_inverse at the same scale.  Acts along the last axis;
+    leading axes are a batch.
     """
     v = np.asarray(samples, dtype=float)
     n = v.shape[-1] if v.ndim else 0
     if n == 0 or n & (n - 1):
         raise ValueError("grid vector length must be a power of two")
     big_q = n.bit_length() - 1
-    r0 = basis.J0 if coarsest is None else coarsest
-    if not basis.J0 <= r0 < big_q:
-        raise ValueError("coarsest level must satisfy J0 <= R < Q")
+    r0 = basis.J0
     top = big_q if top is None else top
     if not r0 < top <= big_q:
-        raise ValueError("expansion scale must satisfy R < top <= Q")
+        raise ValueError("expansion scale must satisfy J0 < top <= Q")
     c = v * 2.0 ** (-big_q / 2.0)
     out = np.empty(v.shape[:-1] + (1 << top,))
     for j in range(big_q - 1, r0 - 1, -1):

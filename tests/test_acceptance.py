@@ -79,7 +79,7 @@ def test_criterion_1_haar_exactness():
     for j in range(1, m):
         lev = j.bit_length() - 1
         closed[1 << lev : 1 << (lev + 1), j] = 2.0 ** (-lev / 2.0)
-    dense = np.column_stack([op.column(j) for j in range(m)])
+    dense = np.column_stack([op.column(j, op.n_grid) for j in range(m)])
     entry_dev = float(np.max(np.abs(np.abs(dense) - closed)))
 
     rep = coherence_report(op)
@@ -389,7 +389,7 @@ def test_criterion_10_solver_oracle():
     cvxpy = pytest.importorskip("cvxpy")
     start = time.time()
     op = CobOperator(build_basis(1, 0), LevelStructure(J0=0, r=5))
-    dense = np.column_stack([op.column(j) for j in range(32)])
+    dense = np.column_stack([op.column(j, op.n_grid) for j in range(32)])
     rng = np.random.default_rng(42)
     worst_gap = 0.0
     worst_feas = 0.0

@@ -57,7 +57,7 @@ def test_local_coherence_consistency_with_dense_section():
     for k in range(1, lv.r + 1):
         rows = lv.sample_level_slice(k)
         row_best = max(
-            np.max(np.abs(op.column(j)[rows])) for j in range(lv.M_r)
+            np.max(np.abs(op.column(j, op.n_grid)[rows])) for j in range(lv.M_r)
         )
         row_best = max(
             row_best,
@@ -116,12 +116,18 @@ def test_tail_norm_haar_and_cap():
     assert tail_norm(op, 16, 8) == 0.0
     t = tail_norm(op, 4, 8)  # half of the 8-dim range lies beyond row 4
     assert t <= 1.0 + 1e-10
+    op = db_op(4, r=2)
+    assert tail_norm(op, 8, 0) == 0.0
+    # a negative N would zero all but the last N rows of the tail
+    for n, m in ((-4, 8), (8, -1), (op.n_grid + 1, 8), (8, op.levels.M_r + 1)):
+        with pytest.raises(ValueError):
+            tail_norm(op, n, m)
 
 
 def test_tail_norm_decay_trend():
     op = db_op(4, r=4, Q=11)
     values = {n: tail_norm(op, n, 64) for n in (128, 256, 512)}
-    cols = op.column(np.arange(64))
+    cols = op.column(np.arange(64), op.n_grid)
     for n, value in values.items():
         reference = np.linalg.svd(cols[:, n:].T, compute_uv=False)[0]
         assert abs(value - reference) <= 1e-12 * reference
@@ -150,6 +156,24 @@ def test_balancing_full_rows_pass():
     rep = balancing_check(op, 1 << op.Q, op.levels.M_r, K=2.0, s=4)
     assert rep.norm_head < 1e-10
     assert rep.passes
+    op = db_op(4, r=2)
+    for n, m in ((-4, 8), (8, -1), (op.n_grid + 1, 8), (8, op.levels.M_r + 1)):
+        with pytest.raises(ValueError):
+            balancing_check(op, n, m, K=2.0, s=4)
+
+
+@pytest.mark.parametrize("N, M", [(96, 64), (100, 40)])
+def test_balancing_below_half_grid_matches_dense(N, M):
+    # N < 2^(Q-1): the columns come from the band route at a smaller scale
+    op = db_op(4, r=3)  # M_r = 64, Q = 9
+    assert N < 1 << (op.Q - 1)
+    rep = balancing_check(op, N, M, K=2.0, s=4)
+    R = op.rows_dense(np.arange(N), 1 << op.Q)
+    gram = R.T @ R[:, :M]
+    head = np.max(np.abs(gram[:M] - np.eye(M)).sum(axis=1))
+    tail = np.max(np.abs(gram[M:]).sum(axis=1))
+    assert abs(rep.norm_head - head) <= 1e-12 * max(1.0, head)
+    assert abs(rep.norm_tail - tail) <= 1e-12 * max(1.0, tail)
 
 
 def test_m_tilde_haar_and_monotone():
@@ -162,6 +186,15 @@ def test_m_tilde_haar_and_monotone():
     assert m_tilde(op, 8, K=4.0, s=3) >= m_tilde(op, 8, K=1.0, s=3)
     norms = column_tail_norms(op, 8)
     assert np.max(norms[8:]) < 1e-14
+    # a negative N would sum no rows and put m_tilde at 0
+    op = db_op(4, r=2)
+    for bad in (-4, op.n_grid + 1):
+        with pytest.raises(ValueError):
+            column_tail_norms(op, bad)
+        with pytest.raises(ValueError):
+            m_tilde(op, bad, K=1.0, s=3)
+    with pytest.raises(ValueError):
+        column_tail_norms(op, 8, M_band=-1)
 
 
 def test_m_tilde_unreachable_raises():

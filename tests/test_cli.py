@@ -40,6 +40,11 @@ def test_analyze_reports(tmp_path):
     assert any(n.startswith("sparsity") for n in names)
     rows = (out / "coherence_p1_N16.csv").read_text().splitlines()
     assert rows[0] == "k,l,value,bound_shape,ratio"
+    # the balancing rows come in ascending N
+    out = tmp_path / "a4"
+    assert run(["analyze", "--order", "1", "--N", "4", "--out", str(out)]) == EXIT_OK
+    rows = (out / "balancing_p1_N4.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == [4, 8]
 
 
 def test_reconstruct_full_pipeline(tmp_path):

@@ -46,9 +46,9 @@ def haar_closed_form(op):
 
 def test_haar_entries_match_closed_form():
     op = haar_op(r=4)
-    dense = np.column_stack([op.column(j) for j in range(16)])
+    dense = np.column_stack([op.column(j, op.n_grid) for j in range(16)])
     assert np.max(np.abs(np.abs(dense) - haar_closed_form(op))) < 1e-12
-    assert np.array_equal(op.column(np.arange(16)).T, dense)
+    assert np.array_equal(op.column(np.arange(16), op.n_grid).T, dense)
 
 
 def test_entry_validation_and_consistency():
@@ -160,16 +160,26 @@ def test_columns_are_unit_norm(p, picks):
     op = haar_op() if p == 1 else db_op(p)
     m = op.levels.M_r
     for j in range(0, m, 7):
-        assert abs(np.linalg.norm(op.column(j)) - 1.0) <= 1e-10
+        assert abs(np.linalg.norm(op.column(j, op.n_grid)) - 1.0) <= 1e-10
     # an index array (unsorted, repeats, the last column) stacks the columns
     idx = np.array(picks + [m - 1]) % m
-    cols = op.column(idx)
+    cols = op.column(idx, op.n_grid)
     assert cols.shape == (idx.size, 1 << op.Q)
-    assert_matches_stack(cols, np.array([op.column(int(j)) for j in idx]))
+    assert_matches_stack(cols, np.array([op.column(int(j), op.n_grid) for j in idx]))
     with pytest.raises(ValueError):
-        op.column(np.append(idx, m))
+        op.column(np.append(idx, m), op.n_grid)
     with pytest.raises(ValueError):
-        op.column(np.append(idx, -1))
+        op.column(np.append(idx, -1), op.n_grid)
+    # rows below 2^(Q-1) run through the band route at a smaller scale
+    for n in (0, 1, m // 2 + 3, op.n_grid // 4):
+        ref = cols[:, :n]
+        got = op.column(idx, n)
+        assert got.shape == ref.shape
+        scale = max(1.0, np.max(np.abs(ref), initial=0.0))
+        assert np.max(np.abs(got - ref), initial=0.0) <= 3e-15 * scale
+    for bad in (-1, op.n_grid + 1):
+        with pytest.raises(ValueError):
+            op.column(idx, bad)
 
 
 def test_full_omega_isometry_haar():

@@ -151,6 +151,9 @@ def test_dwt_round_trip(p, batch, octaves):
     assert np.max(np.abs(back - v)) < 1e-10
     zero = dwt_forward(np.zeros(1 << basis.J0 + 2), basis)
     assert np.all(zero.coeffs == 0.0)
+    # the scaling block sits at J0, which must lie below the grid scale
+    with pytest.raises(ValueError):
+        dwt_forward(np.zeros(1 << basis.J0), basis)
     # a stack of grids transforms like its rows, one at a time
     q = basis.J0 + octaves
     stack = rng.standard_normal((*batch, 1 << q))
