@@ -239,6 +239,7 @@ def cmd_reconstruct(args):
         "tw_error": tw_err,
         "iterations": result.iterations,
         "converged": bool(result.converged),
+        "dense_section": bool(result.dense_section),
         "feasibility_gap": result.feasibility_gap,
         "seed": cfg["seed"],
     }

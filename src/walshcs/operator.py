@@ -34,6 +34,11 @@ from .wavelets import LevelStructure, SignalExpansion, dwt_forward, dwt_inverse
 SECTION_GUARD = 1 << 12
 # grid values one batched transform call holds (4 MB); see CobOperator.batches
 BATCH_ELEMENTS = 1 << 19
+# the same while a solver's sampled section is built, a quarter as many: the
+# build's transforms then stay small beside the section they fill, which is
+# all the solve keeps (64 x 4096 at Q = 15: 4 rows a batch, 0.6 MB above the
+# 2 MB section against 2.3 MB at 16 rows)
+SECTION_BATCH_ELEMENTS = BATCH_ELEMENTS >> 2
 
 
 class SizeGuardError(ValueError):
@@ -115,10 +120,14 @@ class CobOperator:
         dwt_inverse treats the levels above it as zero."""
         return dwt_inverse(self._expansion(coeffs), self.basis, self.Q)
 
-    def apply(self, coeffs, omega):
+    def apply(self, coeffs, omega, section=None):
         """Walsh samples of the synthesized expansion at the indices omega,
         computed at the working scale m from the cell averages B_(Q-m) of
-        the surrogate (see the module docstring)."""
+        the surrogate (see the module docstring).  Given section, the
+        sampled_section of this omega and coefficient length, the samples
+        are one product with it instead."""
+        if section is not None:
+            return coeffs @ section.T
         omega = self._check_omega(omega)
         exp = self._expansion(coeffs)
         m = max(exp.levels.J0 + exp.levels.r, int(omega.max(initial=0)).bit_length())
@@ -127,11 +136,15 @@ class CobOperator:
             grid = self.basis.average(grid, self.Q - m)
         return np.take(fwht_sequency(grid), omega, axis=-1)
 
-    def apply_adjoint(self, values, omega, L=None):
+    def apply_adjoint(self, values, omega, L=None, section=None):
         """Exact transpose of apply, truncated to the first L coefficients
         (default M_r); wavelet levels at or above L are not analysed.  L may
         reach past the level structure up to the tabulated band 2^Q, whose
-        columns the analysis reports sum over."""
+        columns the analysis reports sum over.  Given section, the
+        sampled_section of this omega and L, the result is one product
+        with it instead."""
+        if section is not None:
+            return values @ section
         omega = self._check_omega(omega)
         values = np.asarray(values, dtype=float)
         if values.shape[-1:] != omega.shape:
@@ -160,10 +173,11 @@ class CobOperator:
             raise ValueError("omega indices must not repeat")
         return omega
 
-    def batches(self, count):
+    def batches(self, count, elements=None):
         """Slices cutting [0, count) into batches of rows or columns whose
-        transforms hold about BATCH_ELEMENTS grid values each."""
-        step = max(1, BATCH_ELEMENTS >> self.Q)
+        transforms hold about elements (default BATCH_ELEMENTS) grid values
+        each."""
+        step = max(1, (BATCH_ELEMENTS if elements is None else elements) >> self.Q)
         return [slice(a, min(a + step, count)) for a in range(0, count, step)]
 
     # -- dense access -------------------------------------------------------
@@ -200,13 +214,20 @@ class CobOperator:
             out[:, batch] = self.column(np.arange(M)[batch], N).T
         return out
 
-    def rows_dense(self, row_indices, M):
-        """Dense rows over the first M columns, via batched adjoint calls."""
+    def sampled_section(self, omega, L):
+        """The sampled section P_omega U P_L as a dense |omega| x L array: the
+        rows_dense of an index set checked as apply checks it (repeats and
+        indices off the grid raise)."""
+        return self.rows_dense(self._check_omega(omega), L, SECTION_BATCH_ELEMENTS)
+
+    def rows_dense(self, row_indices, M, elements=None):
+        """Dense rows over the first M columns, via adjoint calls on batches
+        of rows (see batches)."""
         row_indices = np.asarray(row_indices, dtype=np.int64)
         if row_indices.size * M > SECTION_GUARD * SECTION_GUARD:
             raise SizeGuardError("requested row block exceeds the size guard")
         out = np.empty((row_indices.size, M))
-        for batch in self.batches(row_indices.size):
+        for batch in self.batches(row_indices.size, elements):
             # one unit sample per row; rows may repeat, omega may not
             omega, which = np.unique(row_indices[batch], return_inverse=True)
             out[batch] = self.apply_adjoint(np.eye(omega.size)[which], omega, L=M)

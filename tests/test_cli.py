@@ -61,6 +61,8 @@ def test_reconstruct_full_pipeline(tmp_path):
     record = json.loads((out / summaries[0]).read_text())
     assert record["N"] == 64 and record["budget"] == 32
     assert 0.0 <= record["cs_error"] < 1.0
+    # 32 samples x 256 coefficients lies under the solver's dense-section rule
+    assert record["dense_section"] is True
     for prefix in ("rec_", "coeffs_", "tw_", "pattern_"):
         assert any(n.startswith(prefix) for n in os.listdir(out))
 

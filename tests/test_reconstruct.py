@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from walshcs import reconstruct
 from walshcs.operator import CobOperator, MeasurementVector
 from walshcs.reconstruct import (
     ReconstructionConfig,
@@ -94,6 +95,78 @@ def test_non_convergence_is_flagged():
     res = solve_bpdn(op, omega, g, ReconstructionConfig(L=32, max_iter=30, delta=1e-8))
     assert not res.converged
     assert res.iterations == 30
+
+
+def lowband_op():
+    # p = 4 on a 2^12 grid with 512 coefficients; the tests sample below 2^6
+    return CobOperator(build_basis(4, 3), LevelStructure(J0=3, r=6))
+
+
+def test_sampled_section_matches_operator():
+    op = lowband_op()
+    rng = np.random.default_rng(7)
+    L = op.levels.M_r
+    for size in (1, 5, 24):
+        omega = rng.choice(64, size, replace=False)
+        a = op.sampled_section(omega, L)
+        assert a.shape == (size, L)
+        for _ in range(3):
+            x = rng.standard_normal(L)
+            y = rng.standard_normal(size)
+            ref = op.apply(x, omega)
+            assert np.max(np.abs(a @ x - ref)) <= 3e-15 * max(1.0, np.max(np.abs(ref)))
+            assert np.array_equal(op.apply(x, omega, section=a), x @ a.T)
+            ref = op.apply_adjoint(y, omega, L=L)
+            assert np.max(np.abs(y @ a - ref)) <= 3e-15 * max(1.0, np.max(np.abs(ref)))
+            assert np.array_equal(op.apply_adjoint(y, omega, L=L, section=a), y @ a)
+    # a truncated section is the leading columns of the full one
+    omega = rng.choice(64, 9, replace=False)
+    full = op.sampled_section(omega, L)
+    assert np.max(np.abs(op.sampled_section(omega, 100) - full[:, :100])) <= 3e-15 * max(
+        1.0, np.max(np.abs(full))
+    )
+    assert op.sampled_section(np.array([], dtype=np.int64), L).shape == (0, L)
+    # omega is checked as apply checks it, even where rows_dense allows repeats
+    for bad in ([3, 5, 3], [0, 1 << op.Q], [-1, 2]):
+        with pytest.raises(ValueError):
+            op.sampled_section(np.array(bad), L)
+
+
+def test_solver_routes_agree(monkeypatch):
+    op = lowband_op()
+    rng = np.random.default_rng(8)
+    omega = np.sort(rng.choice(64, 24, replace=False))
+    x0 = np.zeros(op.levels.M_r)
+    x0[rng.choice(64, 6, replace=False)] = rng.standard_normal(6)
+    g = MeasurementVector(omega, op.apply(x0, omega), delta=1e-3)
+    cfg = ReconstructionConfig(L=op.levels.M_r, max_iter=600)
+    assert omega.size * cfg.L <= reconstruct.DENSE_SECTION_ELEMENTS
+    dense = solve_bpdn(op, omega, g, cfg)
+    monkeypatch.setattr(reconstruct, "DENSE_SECTION_ELEMENTS", 0)
+    free = solve_bpdn(op, omega, g, cfg)
+    assert dense.dense_section and not free.dense_section
+    assert np.linalg.norm(dense.coeffs - free.coeffs) <= 1e-9 * np.linalg.norm(free.coeffs)
+    assert dense.iterations == free.iterations
+    assert abs(dense.objective - free.objective) <= 1e-9 * free.objective
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "matrix-free"])
+def test_solver_input_checks_on_both_routes(dense, monkeypatch):
+    if not dense:
+        monkeypatch.setattr(reconstruct, "DENSE_SECTION_ELEMENTS", 0)
+    op = lowband_op()
+    cfg = ReconstructionConfig(L=op.levels.M_r, max_iter=20)
+    assert solve_bpdn(op, np.arange(4), np.ones(4), cfg).dense_section == dense
+    for bad in ([3, 5, 3], [0, 1 << op.Q], [-1, 2]):
+        omega = np.array(bad)
+        with pytest.raises(ValueError):
+            solve_bpdn(op, omega, np.ones(omega.size), cfg)
+    with pytest.raises(ValueError):
+        solve_bpdn(op, np.arange(4), np.ones(3), cfg)
+    empty = np.array([], dtype=np.int64)
+    res = solve_bpdn(op, empty, np.array([]), cfg)
+    assert res.converged and res.iterations == 0
+    assert np.array_equal(res.coeffs, np.zeros(op.levels.M_r))
 
 
 def test_truncated_walsh_exact_for_finite_series():
