@@ -51,6 +51,11 @@ DEFAULTS = {
 }
 
 
+def _colon_list(raw):
+    """Per-level sparsities written as colon-separated integers."""
+    return tuple(int(v) for v in raw.split(":"))
+
+
 def _parse_value(key, raw):
     if key in ("signal", "policy"):
         return raw
@@ -59,7 +64,7 @@ def _parse_value(key, raw):
     if key in ("delta", "tol", "clip"):
         return float(raw)
     if key == "s":
-        return tuple(int(v) for v in raw.split(":"))
+        return _colon_list(raw)
     return int(raw)
 
 
@@ -154,9 +159,27 @@ def _summary_line(path, record):
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _overrides(args):
+    """The command's flags that set configuration keys."""
+    return {key: value for key, value in vars(args).items() if key in DEFAULTS}
+
+
+def _power_of_two_exponent(n, low, floor):
+    """The exponent of an N that must be a power of two of at least 2^low
+    (floor names that bound in the error)."""
+    if n < 1 or n & (n - 1):
+        raise ConfigError(f"N values must be powers of two, got {n}")
+    big = n.bit_length() - 1
+    if big < low:
+        raise ConfigError(f"N = {n} is below {floor}")
+    return big
+
+
 def cmd_matrix(args):
-    cfg = load_config(args.config, {"order": args.order, "J0": args.J0})
+    cfg = load_config(args.config, _overrides(args))
     n = args.N
+    if n < 1:
+        raise ConfigError(f"N must be at least 1, got {n}")
     p, j0 = cfg["order"], cfg["J0"]
     basis = build_basis(p, j0)
     r = max(n.bit_length() - 1 - j0, 1)
@@ -172,13 +195,12 @@ def cmd_matrix(args):
 
 
 def cmd_analyze(args):
-    cfg = load_config(
-        args.config, {"order": args.order, "J0": args.J0, "q": args.q, "s": args.s}
-    )
-    p, j0 = cfg["order"], cfg["J0"]
+    cfg = load_config(args.config, _overrides(args))
+    p, j0, q = cfg["order"], cfg["J0"], cfg["q"]
+    # the sampling band N_r = 2^(J0 + r + q) of a structure with r >= 1 levels
+    big = _power_of_two_exponent(args.N, j0 + 1 + q, f"2^(J0 + 1 + q) = {1 << (j0 + 1 + q)}")
     basis = build_basis(p, j0)
-    r = max(args.N.bit_length() - 1 - j0 - cfg["q"], 1)
-    levels = LevelStructure(J0=j0, r=r, q=cfg["q"])
+    levels = LevelStructure(J0=j0, r=big - j0 - q, q=q)
     op = CobOperator(basis, levels)
     os.makedirs(args.out, exist_ok=True)
     rep = analysis.coherence_report(op)
@@ -218,7 +240,7 @@ def cmd_analyze(args):
 
 
 def cmd_reconstruct(args):
-    cfg = load_config(args.config, _override_dict(args))
+    cfg = load_config(args.config, _overrides(args))
     op, levels, scheme, sig = _experiment_pieces(cfg)
     result, grid, err = _reconstruct_once(op, scheme, sig, cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -254,41 +276,38 @@ def cmd_reconstruct(args):
     return EXIT_OK
 
 
-def cmd_errorcurve(args):
-    cfg = load_config(args.config, _override_dict(args))
+def _error_table(cfg, column, changes, path):
+    """One reconstruction per (label, config change): a CSV of the label
+    under the given column name with the CS and truncated-Walsh errors."""
     rows = []
-    os.makedirs(args.out, exist_ok=True)
-    for big_r, q in _n_list_settings(args.N_list, cfg):
-        sub = dict(cfg)
-        sub["R"], sub["q"] = big_r, q
-        op, levels, scheme, sig = _experiment_pieces(sub)
-        result, grid, err = _reconstruct_once(op, scheme, sig, sub)
-        rows.append((levels.N_r, err, _truncated_walsh(op, scheme, sig)[1]))
-    path = os.path.join(
-        args.out, f"errorcurve_{cfg['signal']}_m{cfg['budget']}_seed{cfg['seed']}.csv"
-    )
+    for label, change in changes:
+        sub = {**cfg, **change}
+        op, _, scheme, sig = _experiment_pieces(sub)
+        err = _reconstruct_once(op, scheme, sig, sub)[2]
+        rows.append((label, err, _truncated_walsh(op, scheme, sig)[1]))
     with open(path, "w") as fh:
-        fh.write("N,cs_error,tw_error\n")
-        for n, cs, tw in rows:
-            fh.write(f"{n},{cs:.17g},{tw:.17g}\n")
+        fh.write(f"{column},cs_error,tw_error\n")
+        for label, cs, tw in rows:
+            fh.write(f"{label},{cs:.17g},{tw:.17g}\n")
     print(path)
     return EXIT_OK
 
 
-def _n_list_settings(n_list, cfg):
-    out = []
-    for n in n_list:
-        big = n.bit_length() - 1
-        if (1 << big) != n:
-            raise ConfigError(f"N values must be powers of two, got {n}")
-        if big < cfg["R"]:
-            raise ConfigError(f"N = {n} is below the coefficient bandwidth 2^R")
-        out.append((cfg["R"], big - cfg["R"]))
-    return out
+def cmd_errorcurve(args):
+    cfg = load_config(args.config, _overrides(args))
+    os.makedirs(args.out, exist_ok=True)
+    changes = []
+    for n in args.N_list:
+        big = _power_of_two_exponent(n, cfg["R"], "the coefficient bandwidth 2^R")
+        changes.append((n, {"q": big - cfg["R"]}))
+    path = os.path.join(
+        args.out, f"errorcurve_{cfg['signal']}_m{cfg['budget']}_seed{cfg['seed']}.csv"
+    )
+    return _error_table(cfg, "N", changes, path)
 
 
 def cmd_fliptest(args):
-    cfg = load_config(args.config, _override_dict(args))
+    cfg = load_config(args.config, _overrides(args))
     op, levels, scheme, sig = _experiment_pieces(cfg)
     flipped = sampling.flip_pattern(scheme)
     os.makedirs(args.out, exist_ok=True)
@@ -310,36 +329,13 @@ def cmd_fliptest(args):
 
 
 def cmd_sweep(args):
-    cfg = load_config(args.config, _override_dict(args))
+    cfg = load_config(args.config, _overrides(args))
     os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for budget in args.budget_list:
-        sub = dict(cfg)
-        sub["budget"] = budget
-        op, levels, scheme, sig = _experiment_pieces(sub)
-        result, grid, err = _reconstruct_once(op, scheme, sig, sub)
-        rows.append((budget, err, _truncated_walsh(op, scheme, sig)[1]))
     path = os.path.join(
         args.out, f"sweep_{cfg['signal']}_N{1 << (cfg['R'] + cfg['q'])}_seed{cfg['seed']}.csv"
     )
-    with open(path, "w") as fh:
-        fh.write("budget,cs_error,tw_error\n")
-        for b, cs, tw in rows:
-            fh.write(f"{b},{cs:.17g},{tw:.17g}\n")
-    print(path)
-    return EXIT_OK
-
-
-def _override_dict(args):
-    keys = ("signal", "order", "J0", "R", "q", "budget", "policy", "seed", "delta", "L")
-    out = {}
-    for key in keys:
-        out[key] = getattr(args, key, None)
-    if getattr(args, "full_first", None) is not None:
-        out["full_first"] = args.full_first
-    if getattr(args, "s", None) is not None:
-        out["s"] = args.s
-    return out
+    changes = [(budget, {"budget": budget}) for budget in args.budget_list]
+    return _error_table(cfg, "budget", changes, path)
 
 
 def _add_common(sub, with_experiment=True):
@@ -358,8 +354,7 @@ def _add_common(sub, with_experiment=True):
         sub.add_argument("--seed", type=int)
         sub.add_argument("--delta", type=float)
         sub.add_argument("--L", type=int, help="solver truncation dimension")
-        sub.add_argument("--s", type=lambda v: tuple(int(x) for x in v.split(":")),
-                         help="per-level sparsities, colon separated")
+        sub.add_argument("--s", type=_colon_list, help="per-level sparsities, colon separated")
 
 
 def build_parser():
@@ -380,7 +375,7 @@ def build_parser():
     a.add_argument("--q", type=int, default=0)
     a.add_argument("--N", type=int, default=256)
     a.add_argument("--budget", type=int, default=64)
-    a.add_argument("--s", type=lambda v: tuple(int(x) for x in v.split(":")))
+    a.add_argument("--s", type=_colon_list)
     a.set_defaults(func=cmd_analyze)
 
     r = subs.add_parser("reconstruct", help="measure, solve, compare to TW")

@@ -32,13 +32,10 @@ from .walsh import fwht_sequency, ifwht_sequency
 from .wavelets import LevelStructure, SignalExpansion, dwt_forward, dwt_inverse
 
 SECTION_GUARD = 1 << 12
-# grid values one batched transform call holds (4 MB); see CobOperator.batches
-BATCH_ELEMENTS = 1 << 19
-# the same while a solver's sampled section is built, a quarter as many: the
-# build's transforms then stay small beside the section they fill, which is
-# all the solve keeps (64 x 4096 at Q = 15: 4 rows a batch, 0.6 MB above the
-# 2 MB section against 2.3 MB at 16 rows)
-SECTION_BATCH_ELEMENTS = BATCH_ELEMENTS >> 2
+# grid values one batched transform call holds (1 MB); see CobOperator.batches.
+# Small enough that a solver's section build (4 rows a batch at Q = 15) stays
+# small beside the section it fills, which is all the solve keeps
+BATCH_ELEMENTS = 1 << 17
 
 
 class SizeGuardError(ValueError):
@@ -124,7 +121,7 @@ class CobOperator:
         """Walsh samples of the synthesized expansion at the indices omega,
         computed at the working scale m from the cell averages B_(Q-m) of
         the surrogate (see the module docstring).  Given section, the
-        sampled_section of this omega and coefficient length, the samples
+        rows_dense of this omega over the coefficient length, the samples
         are one product with it instead."""
         if section is not None:
             return coeffs @ section.T
@@ -141,8 +138,8 @@ class CobOperator:
         (default M_r); wavelet levels at or above L are not analysed.  L may
         reach past the level structure up to the tabulated band 2^Q, whose
         columns the analysis reports sum over.  Given section, the
-        sampled_section of this omega and L, the result is one product
-        with it instead."""
+        rows_dense of this omega over L, the result is one product with it
+        instead."""
         if section is not None:
             return values @ section
         omega = self._check_omega(omega)
@@ -173,11 +170,10 @@ class CobOperator:
             raise ValueError("omega indices must not repeat")
         return omega
 
-    def batches(self, count, elements=None):
+    def batches(self, count):
         """Slices cutting [0, count) into batches of rows or columns whose
-        transforms hold about elements (default BATCH_ELEMENTS) grid values
-        each."""
-        step = max(1, (BATCH_ELEMENTS if elements is None else elements) >> self.Q)
+        transforms hold about BATCH_ELEMENTS grid values each."""
+        step = max(1, BATCH_ELEMENTS >> self.Q)
         return [slice(a, min(a + step, count)) for a in range(0, count, step)]
 
     # -- dense access -------------------------------------------------------
@@ -214,23 +210,18 @@ class CobOperator:
             out[:, batch] = self.column(np.arange(M)[batch], N).T
         return out
 
-    def sampled_section(self, omega, L):
-        """The sampled section P_omega U P_L as a dense |omega| x L array: the
-        rows_dense of an index set checked as apply checks it (repeats and
-        indices off the grid raise)."""
-        return self.rows_dense(self._check_omega(omega), L, SECTION_BATCH_ELEMENTS)
-
-    def rows_dense(self, row_indices, M, elements=None):
-        """Dense rows over the first M columns, via adjoint calls on batches
-        of rows (see batches)."""
-        row_indices = np.asarray(row_indices, dtype=np.int64)
-        if row_indices.size * M > SECTION_GUARD * SECTION_GUARD:
+    def rows_dense(self, rows, M):
+        """The sampled section P_rows U P_M as a dense |rows| x M array, from
+        adjoint calls on unit samples over batches of rows (see batches).
+        rows is checked as apply checks it: repeats and indices off the grid
+        raise."""
+        rows = self._check_omega(rows)
+        if rows.size * M > SECTION_GUARD * SECTION_GUARD:
             raise SizeGuardError("requested row block exceeds the size guard")
-        out = np.empty((row_indices.size, M))
-        for batch in self.batches(row_indices.size, elements):
-            # one unit sample per row; rows may repeat, omega may not
-            omega, which = np.unique(row_indices[batch], return_inverse=True)
-            out[batch] = self.apply_adjoint(np.eye(omega.size)[which], omega, L=M)
+        out = np.empty((rows.size, M))
+        for batch in self.batches(rows.size):
+            k = batch.stop - batch.start
+            out[batch] = self.apply_adjoint(np.eye(k), rows[batch], L=M)
         return out
 
 

@@ -10,7 +10,7 @@ live here as well.
 
 A reaches the iteration by one of two routes, chosen from its size alone.
 When |Omega| * L is at most DENSE_SECTION_ELEMENTS (2^19 values, 4 MB), the
-solver forms A once (CobOperator.sampled_section) and every product is a
+solver forms A once (CobOperator.rows_dense of omega) and every product is a
 BLAS matrix-vector product with it; above it, every product runs the
 matrix-free transforms.  Both go through CobOperator.apply / apply_adjoint,
 which take the formed A as their section argument.  The routes apply the
@@ -115,7 +115,7 @@ def solve_bpdn(op, omega, g, cfg=None):
         raise ValueError("measurement vector and omega must have equal lengths")
     L = min(cfg.L, op.levels.M_r)
     dense = omega.size * L <= DENSE_SECTION_ELEMENTS
-    section = op.sampled_section(omega, L) if dense else None
+    section = op.rows_dense(omega, L) if dense else None
 
     def matvec(x):
         return op.apply(x, omega, section=section)

@@ -81,10 +81,6 @@ class DyadicPoint:
     def value(self):
         return self.numerator / (1 << self.scale)
 
-    def bits_msb_first(self):
-        """Fractional bits x_1 .. x_scale."""
-        return [(self.numerator >> (self.scale - 1 - k)) & 1 for k in range(self.scale)]
-
 
 @dataclass(frozen=True)
 class SequencyIndex:
@@ -275,10 +271,6 @@ class WalshPolynomial:
             raise ValueError("coefficients must be a non-empty 1-D sequence")
         if self.ordering not in (KACZMARZ, PALEY):
             raise ValueError("Walsh polynomials support kaczmarz or paley ordering")
-
-    @property
-    def degree_range(self):
-        return self.offset, self.offset + self.coeffs.size - 1
 
 
 def walsh_poly_eval(poly, x):

@@ -30,6 +30,21 @@ def test_matrix_size_guard(tmp_path):
     assert code == EXIT_GUARD
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--order", "1", "--N", "0"],  # an empty section
+        ["analyze", "--order", "4", "--N", "16", "--q", "5"],  # below 2^(J0 + 1 + q) = 512
+        ["analyze", "--order", "4", "--N", "1000"],  # not a power of two
+        ["analyze", "--order", "4", "--N", "0"],
+    ],
+)
+def test_bad_n_is_a_config_error(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: N")
+    assert not list(tmp_path.iterdir())
+
+
 def test_analyze_reports(tmp_path):
     out = tmp_path / "a"
     code = run(["analyze", "--order", "1", "--J0", "0", "--N", "16", "--out", str(out)])

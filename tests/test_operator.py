@@ -218,7 +218,7 @@ def test_haar_section_block_diagonal():
 
 @settings(max_examples=10, deadline=None)
 @given(
-    picks=st.lists(st.integers(0, (1 << 11) - 1), min_size=1, max_size=40),
+    picks=st.lists(st.integers(0, (1 << 11) - 1), min_size=1, max_size=40, unique=True),
     per_batch=st.sampled_from([1, 3, 8, 256]),
 )
 def test_rows_match_columns(picks, per_batch):
@@ -227,14 +227,16 @@ def test_rows_match_columns(picks, per_batch):
     for a, i in enumerate((3, 17, 40)):
         col_vals = np.array([op.entry(i, j) for j in range(32)])
         assert np.max(np.abs(rows[a] - col_vals)) < 1e-12
-    # batched rows (repeats allowed, batches of per_batch rows) against
-    # the row-by-row adjoint
+    # batched rows (batches of per_batch rows) against the row-by-row adjoint
     picks = np.array(picks)
     with mock.patch.object(operator, "BATCH_ELEMENTS", per_batch << op.Q):
         assert len(op.batches(picks.size)) == -(-picks.size // per_batch)
         rows = op.rows_dense(picks, 64)
     one_by_one = [op.apply_adjoint(np.ones(1), np.array([i]), L=64) for i in picks]
     assert_matches_stack(rows, np.array(one_by_one))
+    # a repeated row raises, as a repeated sample index does in apply
+    with pytest.raises(ValueError):
+        op.rows_dense(np.append(picks, picks[0]), 64)
 
 
 def test_dc_row_matches_refined_quadrature():

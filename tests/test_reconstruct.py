@@ -108,7 +108,7 @@ def test_sampled_section_matches_operator():
     L = op.levels.M_r
     for size in (1, 5, 24):
         omega = rng.choice(64, size, replace=False)
-        a = op.sampled_section(omega, L)
+        a = op.rows_dense(omega, L)
         assert a.shape == (size, L)
         for _ in range(3):
             x = rng.standard_normal(L)
@@ -121,15 +121,15 @@ def test_sampled_section_matches_operator():
             assert np.array_equal(op.apply_adjoint(y, omega, L=L, section=a), y @ a)
     # a truncated section is the leading columns of the full one
     omega = rng.choice(64, 9, replace=False)
-    full = op.sampled_section(omega, L)
-    assert np.max(np.abs(op.sampled_section(omega, 100) - full[:, :100])) <= 3e-15 * max(
+    full = op.rows_dense(omega, L)
+    assert np.max(np.abs(op.rows_dense(omega, 100) - full[:, :100])) <= 3e-15 * max(
         1.0, np.max(np.abs(full))
     )
-    assert op.sampled_section(np.array([], dtype=np.int64), L).shape == (0, L)
-    # omega is checked as apply checks it, even where rows_dense allows repeats
+    assert op.rows_dense(np.array([], dtype=np.int64), L).shape == (0, L)
+    # omega is checked as apply checks it: repeats and indices off the grid raise
     for bad in ([3, 5, 3], [0, 1 << op.Q], [-1, 2]):
         with pytest.raises(ValueError):
-            op.sampled_section(np.array(bad), L)
+            op.rows_dense(np.array(bad), L)
 
 
 def test_solver_routes_agree(monkeypatch):
