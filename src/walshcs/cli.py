@@ -68,8 +68,10 @@ def _parse_value(key, raw):
     return int(raw)
 
 
-def load_config(path=None, overrides=None):
-    cfg = dict(DEFAULTS)
+def load_config(path=None, overrides=None, defaults=None):
+    """DEFAULTS, then a command's own defaults, then the file at path, then
+    the overrides that are not None."""
+    cfg = {**DEFAULTS, **(defaults or {})}
     if path:
         try:
             with open(path) as fh:
@@ -195,7 +197,7 @@ def cmd_matrix(args):
 
 
 def cmd_analyze(args):
-    cfg = load_config(args.config, _overrides(args))
+    cfg = load_config(args.config, _overrides(args), {"q": 0, "budget": 64})
     p, j0, q = cfg["order"], cfg["J0"], cfg["q"]
     # the sampling band N_r = 2^(J0 + r + q) of a structure with r >= 1 levels
     big = _power_of_two_exponent(args.N, j0 + 1 + q, f"2^(J0 + 1 + q) = {1 << (j0 + 1 + q)}")
@@ -208,7 +210,7 @@ def cmd_analyze(args):
     s = cfg["s"] or default_sparsity(levels)
     total_s = max(sum(s), 3)
     profile = sampling.SparsityProfile(s)
-    m = sampling.allocate_budget(profile, levels, min(args.budget, levels.N_r))
+    m = sampling.allocate_budget(profile, levels, min(cfg["budget"], levels.N_r))
     k_factor = float(np.max(np.diff(levels.N) / np.maximum(np.array(m), 1)))
     weights = sampling.allocation_weights(profile, levels)
     with open(os.path.join(args.out, f"sparsity_p{p}_N{args.N}.csv"), "w") as fh:
@@ -363,18 +365,18 @@ def build_parser():
 
     m = subs.add_parser("matrix", help="dense operator section heatmap")
     _add_common(m, with_experiment=False)
-    m.add_argument("--order", type=int, default=4)
+    m.add_argument("--order", type=int)
     m.add_argument("--J0", type=int)
     m.add_argument("--N", type=int, default=256)
     m.set_defaults(func=cmd_matrix)
 
     a = subs.add_parser("analyze", help="coherence / balancing reports")
     _add_common(a, with_experiment=False)
-    a.add_argument("--order", type=int, default=4)
+    a.add_argument("--order", type=int)
     a.add_argument("--J0", type=int)
-    a.add_argument("--q", type=int, default=0)
+    a.add_argument("--q", type=int)
     a.add_argument("--N", type=int, default=256)
-    a.add_argument("--budget", type=int, default=64)
+    a.add_argument("--budget", type=int)
     a.add_argument("--s", type=_colon_list)
     a.set_defaults(func=cmd_analyze)
 

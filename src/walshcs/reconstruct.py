@@ -96,7 +96,8 @@ def solve_bpdn(op, omega, g, cfg=None):
     """Minimize ||xi||_1 subject to ||P_Omega U P_L xi - g||_2 <= delta.
 
     omega may be a SamplingScheme or an index array; g a MeasurementVector
-    (its delta is used unless the config overrides it) or a plain vector.
+    taken at omega (its delta is used unless the config overrides it) or a
+    plain vector.
     Non-convergence within max_iter is flagged on the result, never silent.
     The sampled section is formed explicitly when |omega| * L is at most
     DENSE_SECTION_ELEMENTS and applied matrix-free otherwise.
@@ -106,6 +107,8 @@ def solve_bpdn(op, omega, g, cfg=None):
         omega = omega.union
     omega = np.asarray(omega, dtype=np.int64)
     if isinstance(g, MeasurementVector):
+        if not np.array_equal(g.indices, omega):
+            raise ValueError("measurement indices differ from omega")
         delta = g.delta if g.delta > 0 else cfg.delta
         g = g.values
     else:

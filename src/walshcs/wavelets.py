@@ -3,11 +3,13 @@
 Filters are generated at build time rather than read from published tables.
 The interior filter comes from spectral factorization in high precision.
 Edge scaling functions start from binomial combinations of scaling-function
-translates clipped to the interval; their Gram matrix is computed exactly
-from the fixed-point linear system the refinement relation imposes on
-clipped-translate inner products, and a staggered Gram-Schmidt (boundary
-inward) orthonormalizes them.  Edge wavelets complete the two-scale
-synthesis map to an orthogonal one.  All discrete transforms built here are
+translates clipped to the interval.  The Gram matrix G of the clipped
+translates that cross the edge is the matrix fixed point
+G = C G C^T + D D^T of the refinement relation (C: taps onto finer crossing
+translates, D: taps onto finer interior ones), solved to working precision,
+and a staggered Gram-Schmidt (boundary inward) orthonormalizes the
+candidates.  Edge wavelets complete the two-scale synthesis map to an
+orthogonal one.  All discrete transforms built here are
 orthogonal to rounding error.
 
 Index conventions: the interior filter h[i] lives on offsets t = i - p + 1
@@ -112,82 +114,43 @@ def wavelet_filter_from_scaling(h):
     return g
 
 
-def _clipped_translate_gram(h, mp):
-    """Inner products of scaling-function translates clipped to [0, inf).
+def _refinement_matrix(h, coarse, fine, mp):
+    """Taps h[u - 2s] from the translates s in `coarse` onto the translates
+    u in `fine` one level finer, as an mp.matrix (zero off the support)."""
+    p = len(h) // 2
+    r = mp.zeros(len(coarse), len(fine))
+    for i, s in enumerate(coarse):
+        for j, u in enumerate(fine):
+            if -p + 1 <= u - 2 * s <= p:
+                r[i, j] = h[u - 2 * s + p - 1]
+    return r
 
-    h is a high-precision filter (list of mpf).  Returns a lookup
-    gamma(u, v), exact on the crossing range by solving the linear
-    fixed-point system the refinement relation imposes (double-precision
-    solve plus high-precision iterative refinement), and reducing to
-    delta / zero outside it.
+
+def _crossing_gram(h, mp):
+    """Gram matrix G of the scaling-function translates m = -p+1 .. p-2
+    clipped to [0, inf), the ones that cross 0, for a high-precision filter h.
+
+    Refinement gives the fixed point G = C G C^T + D D^T: C holds the taps
+    onto the finer translates that also cross 0, D the taps onto the finer
+    translates u = p-1 .. 3p-4 inside [0, inf), which are orthonormal
+    (translates ending before 0 vanish).  I - kron(C, C) is inverted once in
+    double precision; each of five passes corrects G by its image of the
+    fixed-point residual taken in working precision.
     """
     p = len(h) // 2
-    crossing = list(range(-p + 1, p - 1))
-    nc = len(crossing)
-    idx = {m: i for i, m in enumerate(crossing)}
-    zero, one = mp.mpf(0), mp.mpf(1)
-
-    def base(u, v):
-        # dead translates vanish on the half line, interior ones are orthonormal
-        if u <= -p or v <= -p:
-            return zero
-        if u >= p - 1 or v >= p - 1:
-            return one if u == v else zero
-        return None
-
-    values = [[zero] * nc for _ in range(nc)]
-    if nc:
-        taps = [(t, h[t + p - 1]) for t in range(-p + 1, p + 1)]
-        taps_f = [(t, float(x)) for t, x in taps]
-        n = nc * nc
-        a = np.eye(n)
-        rhs = np.zeros(n)
-        for m in crossing:
-            for m2 in crossing:
-                row = idx[m] * nc + idx[m2]
-                for ta, ha in taps_f:
-                    for tb, hb in taps_f:
-                        u, v = 2 * m + ta, 2 * m2 + tb
-                        known = base(u, v)
-                        if known is None:
-                            a[row, idx[u] * nc + idx[v]] -= ha * hb
-                        elif known:
-                            rhs[row] += ha * hb
-        ainv = np.linalg.inv(a)
-        x = ainv @ rhs
-        for i, m in enumerate(crossing):
-            for j, m2 in enumerate(crossing):
-                values[i][j] = mp.mpf(x[i * nc + j])
-
-        def lookup(u, v):
-            known = base(u, v)
-            return values[idx[u]][idx[v]] if known is None else known
-
-        # iterative refinement: each pass regains full double accuracy on
-        # the residual, so a few passes reach the working precision
-        for _ in range(4):
-            resid = np.empty(n)
-            res_mp = {}
-            for m in crossing:
-                for m2 in crossing:
-                    acc = -lookup(m, m2)
-                    for ta, ha in taps:
-                        for tb, hb in taps:
-                            acc += ha * hb * lookup(2 * m + ta, 2 * m2 + tb)
-                    res_mp[(m, m2)] = acc
-                    resid[idx[m] * nc + idx[m2]] = float(acc)
-            corr = ainv @ resid
-            for i, m in enumerate(crossing):
-                for j, m2 in enumerate(crossing):
-                    values[i][j] += mp.mpf(corr[i * nc + j])
-
-    def gamma(u, v):
-        known = base(u, v)
-        if known is not None:
-            return known
-        return values[idx[u]][idx[v]]
-
-    return gamma
+    crossing = range(-p + 1, p - 1)
+    if not crossing:  # Haar: no translate crosses 0
+        return mp.zeros(0)
+    c = _refinement_matrix(h, crossing, crossing, mp)
+    d = _refinement_matrix(h, crossing, range(p - 1, 3 * p - 3), mp)
+    dd = d * d.T
+    c_f = np.array(c.tolist(), dtype=float)
+    ainv = np.linalg.inv(np.eye(c_f.size) - np.kron(c_f, c_f))
+    g = mp.zeros(len(crossing))
+    for _ in range(5):
+        resid = np.array((c * g * c.T + dd - g).tolist(), dtype=float).ravel()
+        g += mp.matrix((ainv @ resid).reshape(g.rows, g.cols))
+    return g
 
 
 def _edge_system(h, mp):
@@ -200,69 +163,43 @@ def _edge_system(h, mp):
     translates u = p..3p-2.
     """
     p = len(h) // 2
-    gamma = _clipped_translate_gram(h, mp)
-    shifts = list(range(-p + 1, p))
-    ns = len(shifts)
-    zero = mp.mpf(0)
-    cand = [[zero] * ns for _ in range(p)]
-    for k in range(p):
-        for i, s in enumerate(shifts):
-            n = p - 1 - s
-            if n >= k:
-                cand[k][i] = mp.mpf(math.comb(n, k))
-    gram_t = [[gamma(s, s2) for s2 in shifts] for s in shifts]
+    shifts = range(-p + 1, p)
+    fine = range(-p + 1, 3 * p - 1)
+    ns, nc = len(shifts), 2 * p - 2
+    # the clipped translates from -p+1 upward have Gram matrix blockdiag(G, I)
+    gram = mp.eye(len(fine))
+    gram[:nc, :nc] = _crossing_gram(h, mp)
+    gram_s = gram[:ns, :ns]
 
-    def dot_t(a, b):
-        return mp.fsum(
-            a[i] * gram_t[i][j] * b[j] for i in range(ns) for j in range(ns)
-        )
+    def dot(a, b, gram):
+        return (a.T * gram * b)[0]
 
-    # staggered orthonormalization from the boundary inward (k = p-1 first)
-    d = [None] * p
-    done = []
+    # staggered orthonormalization from the boundary inward (k = p-1 first);
+    # column k of d is edge function k in the translates `shifts`
+    d = mp.zeros(ns, p)
     for k in range(p - 1, -1, -1):
-        v = list(cand[k])
+        v = mp.matrix([math.comb(p - 1 - s, k) if p - 1 - s >= k else 0 for s in shifts])
         for _ in range(2):
-            for w in done:
-                c = dot_t(w, v)
-                v = [v[i] - c * w[i] for i in range(ns)]
-            nrm = mp.sqrt(dot_t(v, v))
-            v = [x / nrm for x in v]
-        done.append(v)
-        d[k] = v
+            for k2 in range(p - 1, k, -1):
+                v -= dot(d[:, k2], v, gram_s) * d[:, k2]
+            v /= mp.sqrt(dot(v, v, gram_s))
+        d[:, k] = v
 
-    # refinement onto the finer level
-    fine = list(range(-p + 1, 3 * p - 1))
-    nf = len(fine)
-    pos = {u: i for i, u in enumerate(fine)}
-    chat = [[zero] * nf for _ in range(p)]
-    for k in range(p):
-        for i, s in enumerate(shifts):
-            for t in range(-p + 1, p + 1):
-                u = 2 * s + t
-                if u >= -p + 1:
-                    chat[k][pos[u]] += d[k][i] * h[t + p - 1]
-    gram_fine = [[gamma(u, v) for v in fine] for u in fine]
-    d_fine = [list(row) + [zero] * (nf - ns) for row in d]
-
-    def dot_f(a, b):
-        return mp.fsum(
-            a[i] * gram_fine[i][j] * b[j] for i in range(nf) for j in range(nf)
-        )
-
-    he = [[dot_f(chat[k], d_fine[k2]) for k2 in range(p)] for k in range(p)]
+    # refinement onto the finer level, whose first ns clipped translates
+    # carry the finer edge functions with the same coefficients d
+    chat = _refinement_matrix(h, shifts, fine, mp).T * d
+    he = chat.T * gram[:, :ns] * d
     hl = np.zeros((p, 3 * p - 1))
     residual_worst = 0.0
     for k in range(p):
-        for k2 in range(p):
-            hl[k, k2] = float(he[k][k2])
-        for u in range(p, 3 * p - 1):
-            hl[k, u] = float(chat[k][pos[u]])
+        hl[k, :p] = [float(x) for x in he[k, :]]
+        interior = chat[2 * p - 1 :, k]
+        hl[k, p:] = [float(x) for x in interior]
         # the edge block plus kept interior translates must absorb everything
         res = (
-            dot_f(chat[k], chat[k])
-            - mp.fsum(he[k][k2] ** 2 for k2 in range(p))
-            - mp.fsum(chat[k][pos[u]] ** 2 for u in range(p, 3 * p - 1))
+            dot(chat[:, k], chat[:, k], gram)
+            - mp.fsum(x**2 for x in he[k, :])
+            - mp.fsum(x**2 for x in interior)
         )
         residual_worst = max(residual_worst, abs(float(res)))
     if residual_worst > 1e-18:

@@ -152,6 +152,30 @@ def test_config_file_and_overrides(tmp_path):
     assert record["budget"] == 24  # the flag overrides the file
 
 
+def test_matrix_and_analyze_read_the_config_file(tmp_path):
+    cfgfile = tmp_path / "haar.cfg"
+    cfgfile.write_text("order = 1\nJ0 = 0\nq = 1\nbudget = 4\n")
+    out = tmp_path / "m"
+    assert run(["matrix", "--config", str(cfgfile), "--N", "16", "--out", str(out)]) == EXIT_OK
+    assert np.loadtxt(out / "matrix_p1_N16.csv", delimiter=",").shape == (16, 16)
+
+    def analyze(name, *argv):
+        out = tmp_path / name
+        assert run(["analyze", *argv, "--N", "16", "--out", str(out)]) == EXIT_OK
+        return {n: (out / n).read_text() for n in sorted(os.listdir(out))}
+
+    from_file = analyze("file", "--config", str(cfgfile))
+    from_flags = analyze("flags", "--order", "1", "--J0", "0", "--q", "1", "--budget", "4")
+    assert from_file == from_flags
+    # q = 1 leaves 3 levels below N = 16; the flag overrides the file
+    assert len(from_file["sparsity_p1_N16.csv"].splitlines()) == 1 + 3
+    assert len(analyze("q0", "--config", str(cfgfile), "--q", "0")["sparsity_p1_N16.csv"]
+               .splitlines()) == 1 + 4
+    # the budget sets K in the balancing check
+    budget64 = analyze("b64", "--config", str(cfgfile), "--budget", "64")
+    assert budget64["balancing_p1_N16.csv"] != from_file["balancing_p1_N16.csv"]
+
+
 def test_bad_config_exit_codes(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense_key = 3\n")

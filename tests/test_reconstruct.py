@@ -73,6 +73,39 @@ def test_objective_matches_convex_oracle():
         assert res.feasibility_gap <= 1e-6
 
 
+def test_objective_matches_linprog_oracle():
+    # exact basis pursuit min ||x||_1 s.t. A x = g as a linear program in
+    # x = u - v, u, v >= 0; the solver's default delta = 1e-8 leaves it
+    # a few 1e-8 below the optimum
+    optimize = pytest.importorskip("scipy.optimize")
+    op = haar_op()
+    rng = np.random.default_rng(3)
+    for trial in range(5):
+        omega = np.sort(rng.choice(1 << op.Q, 16, replace=False))
+        x0 = np.zeros(32)
+        x0[rng.choice(32, 3, replace=False)] = rng.standard_normal(3)
+        a = op.rows_dense(omega, 32)
+        g = a @ x0
+        lp = optimize.linprog(
+            np.ones(64), A_eq=np.hstack([a, -a]), b_eq=g, bounds=(0, None), method="highs"
+        )
+        assert lp.status == 0
+        res = solve_bpdn(
+            op, omega, MeasurementVector(omega, g), ReconstructionConfig(L=32, tol=1e-9)
+        )
+        assert res.converged
+        assert abs(res.objective - lp.fun) < 1e-6
+
+
+def test_measurement_indices_must_match_omega():
+    op = haar_op()
+    g = measure_signal(signal_smooth(op.Q), np.arange(8, 16))
+    with pytest.raises(ValueError, match="indices"):
+        solve_bpdn(op, np.arange(8), g)
+    res = solve_bpdn(op, np.arange(8, 16), g, ReconstructionConfig(max_iter=50))
+    assert res.coeffs.shape == (32,)
+
+
 def test_tracked_objective_non_increasing():
     op = haar_op()
     rng = np.random.default_rng(4)

@@ -1,3 +1,6 @@
+import hashlib
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,11 @@ from hypothesis import strategies as st
 from walshcs.walsh import fwht_sequency
 from walshcs.wavelets import (
     LevelStructure,
+    _crossing_gram,
+    _daubechies_mp,
+    _edge_dps,
+    _filters_for_order,
+    _refinement_matrix,
     SignalExpansion,
     build_basis,
     cascade_tabulate,
@@ -52,6 +60,44 @@ def test_interior_filter_identities(p):
     for d in range(p):
         moment = sum(g[i] * (i - p + 1) ** d for i in range(g.size))
         assert abs(moment) < 1e-9 * max(1.0, (2.0 * p) ** d)
+
+
+@pytest.mark.parametrize("p", [1, 3, 4, 5, 6, 7, 8, 9, 10])
+def test_crossing_gram_is_the_refinement_fixed_point(p):
+    # G = C G C^T + D D^T to far below double precision, for the left edge
+    # (h) and the right one (h reversed)
+    with mp.workdps(_edge_dps(p)):
+        h = _daubechies_mp(p)
+        crossing = range(-p + 1, p - 1)
+        for taps in (h, h[::-1]):
+            g = _crossing_gram(taps, mp)
+            assert (g.rows, g.cols) == (2 * p - 2, 2 * p - 2)
+            c = _refinement_matrix(taps, crossing, crossing, mp)
+            d = _refinement_matrix(taps, crossing, range(p - 1, 3 * p - 3), mp)
+            resid = (c * g * c.T + d * d.T - g).tolist()
+            assert max((abs(x) for row in resid for x in row), default=0) <= mp.mpf("1e-70")
+
+
+# sha256 (first 16 hex digits) of the <f8 bytes of h, HL and HR
+FILTER_DIGESTS = {
+    1: "74741fc5139ef9f6",
+    3: "efedca55feea6eca",
+    4: "46b3b75e59899166",
+    5: "0039d4636a018c9d",
+    6: "c06c62925a7a2268",
+    7: "41fbf8b2bccd66e1",
+    8: "e65420df6702181d",
+    9: "7a3f31b68139f961",
+    10: "436c4363a94f5d3b",
+}
+
+
+@pytest.mark.parametrize("p", sorted(FILTER_DIGESTS))
+def test_filters_are_pinned(p):
+    digest = hashlib.sha256()
+    for a in _filters_for_order(p):
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    assert digest.hexdigest()[:16] == FILTER_DIGESTS[p]
 
 
 def test_build_basis_rejects_bad_orders():
