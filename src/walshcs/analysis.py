@@ -5,8 +5,8 @@ orthogonal-complement factors in the balancing check, column-norm tails)
 are evaluated over the operator's full tabulated band of 2^Q columns.  For
 the discrete surrogate operator this band is complete - its columns carry
 no mass beyond 2^Q - so what remains unaccounted is the surrogate error of
-the wavelet tabulation itself, not a truncated sum.  Reports carry the
-band so callers can judge that approximation.
+the wavelet tabulation itself, not a truncated sum.  Callers read the band
+as 2^op.Q to judge that approximation.
 """
 
 from __future__ import annotations
@@ -16,6 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# M_r up to which relative_sparsity_exact enumerates supports and signs
+ENUMERATION_CAP = 16
+# grid exponent of the tabulation analytic_constants differentiates
+CONSTANTS_GRID_EXPONENT = 12
 
 
 def coherence(section):
@@ -34,11 +39,9 @@ class CoherenceReport:
     mu: np.ndarray
     mu_inf: np.ndarray
     mu_row: np.ndarray
-    global_mu: float
     fitted_constant: float
     ratios: np.ndarray
     bound_shape: np.ndarray
-    column_band: int
     inf_is_approximate: bool = True
 
 
@@ -79,26 +82,24 @@ def coherence_report(op):
         mu=mu,
         mu_inf=mu_inf,
         mu_row=row_max**2,
-        global_mu=float((row_max**2).max()),
         fitted_constant=float(ratios.max()),
         ratios=ratios,
         bound_shape=shape,
-        column_band=1 << op.Q,
     )
 
 
-def relative_sparsity_exact(op, s, cap=16):
+def relative_sparsity_exact(op, s):
     """Exact per-level relative sparsities by vertex enumeration.
 
     Maximizes ||P_band_k U eta||^2 over eta with exactly s_l nonzeros per
     level and unit sup norm; the maximum of a convex function over that box
     sits at a sign vertex, so supports and signs are enumerated.  Requires
-    M_r <= cap (default 16).
+    M_r <= ENUMERATION_CAP.
     """
     lv = op.levels
-    if lv.M_r > cap:
+    if lv.M_r > ENUMERATION_CAP:
         raise ValueError(
-            f"M_r = {lv.M_r} exceeds the enumeration cap {cap}; use the bound instead"
+            f"M_r = {lv.M_r} exceeds the enumeration cap {ENUMERATION_CAP}; use the bound instead"
         )
     s = tuple(int(v) for v in s)
     if len(s) != lv.r:
@@ -156,10 +157,10 @@ class SparsityReport:
     sigma: float | None = None
 
 
-def sparsity_report(op, s, constant=1.0, expansion=None, cap=16):
+def sparsity_report(op, s, constant=1.0, expansion=None):
     """Bundle exact-or-bounded relative sparsities for the operator's levels."""
     lv = op.levels
-    exact = relative_sparsity_exact(op, s, cap=cap) if lv.M_r <= cap else None
+    exact = relative_sparsity_exact(op, s) if lv.M_r <= ENUMERATION_CAP else None
     bound = relative_sparsity_bound(lv, s, constant)
     sigma = None
     if expansion is not None:
@@ -222,7 +223,6 @@ class BalancingReport:
     threshold_head: float
     threshold_tail: float
     passes: bool
-    column_band: int
 
 
 def balancing_check(op, N, M, K, s):
@@ -253,14 +253,13 @@ def balancing_check(op, N, M, K, s):
         threshold_head=threshold_head,
         threshold_tail=threshold_tail,
         passes=(norm_head <= threshold_head and norm_tail <= threshold_tail),
-        column_band=n_grid,
     )
 
 
-def column_tail_norms(op, N, M_band=None):
-    """Norms ||P_N U e_m||_2 for every column m below the band (default 2^Q)."""
-    band = 1 << op.Q if M_band is None else M_band
-    _check_section(op, N, band, 1 << op.Q)
+def column_tail_norms(op, N):
+    """Norms ||P_N U e_m||_2 for every column m below the band 2^Q."""
+    band = 1 << op.Q
+    _check_section(op, N, band, band)
     rows = np.arange(N)
     acc = np.zeros(band)
     for batch in op.batches(N):
@@ -301,7 +300,7 @@ def sigma_sM(coeffs, levels, s):
     return total
 
 
-def analytic_constants(basis, Q=12):
+def analytic_constants(basis):
     """Analytic counterparts of the fitted constants, for side-by-side
     reporting: C_mu = (2 p C)^2 and C_rs = (16p - 8)^2 C^2 with C the sup of
     |phi'| over the mother scaling function and wavelet (estimated by finite
@@ -315,9 +314,10 @@ def analytic_constants(basis, Q=12):
     pos = 2 * p  # interior translate at the doubled minimal level
     sup_grad = 0.0
     for kind in ("scaling", "wavelet"):
-        tab = cascade_tabulate(basis, level, pos, Q, kind=kind)
+        tab = cascade_tabulate(basis, level, pos, CONSTANTS_GRID_EXPONENT, kind=kind)
         # undo the 2^(level/2) amplitude and 2^level argument scalings
-        grad = np.abs(np.diff(tab)) * (1 << Q) / (1 << level) / 2.0 ** (level / 2.0)
+        grad = np.abs(np.diff(tab)) * (1 << CONSTANTS_GRID_EXPONENT) / (1 << level)
+        grad /= 2.0 ** (level / 2.0)
         sup_grad = max(sup_grad, float(grad.max()))
     return {
         "C_phi_psi": sup_grad,

@@ -142,10 +142,11 @@ def _solver_config(cfg):
 
 
 def _reconstruct_once(op, scheme, sig, cfg):
+    """(result, synthesized grid, relative error, measurements) of one solve."""
     g = reconstruct.measure_signal(sig, scheme, delta=0.0)
     result = reconstruct.solve_bpdn(op, scheme, g, _solver_config(cfg))
     grid = op.synthesize(result.coeffs)
-    return result, grid, reconstruct.relative_l2_error(grid, sig)
+    return result, grid, reconstruct.relative_l2_error(grid, sig), g
 
 
 def _truncated_walsh(op, scheme, sig):
@@ -244,7 +245,7 @@ def cmd_analyze(args):
 def cmd_reconstruct(args):
     cfg = load_config(args.config, _overrides(args))
     op, levels, scheme, sig = _experiment_pieces(cfg)
-    result, grid, err = _reconstruct_once(op, scheme, sig, cfg)
+    result, grid, err, g = _reconstruct_once(op, scheme, sig, cfg)
     os.makedirs(args.out, exist_ok=True)
     tag = f"{cfg['signal']}_p{cfg['order']}_N{levels.N_r}_m{scheme.total}_seed{cfg['seed']}"
     write_matrix_csv(grid.reshape(1, -1), os.path.join(args.out, f"rec_{tag}.csv"))
@@ -270,7 +271,7 @@ def cmd_reconstruct(args):
     _summary_line(os.path.join(args.out, f"summary_{tag}.json"), record)
     # non-convergence is flagged in the summary; only gross infeasibility
     # (the solve did not get anywhere near the data) is a hard failure
-    g_norm = float(np.linalg.norm(reconstruct.measure_signal(sig, scheme).values))
+    g_norm = float(np.linalg.norm(g.values))
     if result.feasibility_gap > 0.1 * max(1.0, g_norm):
         print(json.dumps(record), file=sys.stderr)
         return EXIT_NUMERICAL
@@ -313,8 +314,8 @@ def cmd_fliptest(args):
     op, levels, scheme, sig = _experiment_pieces(cfg)
     flipped = sampling.flip_pattern(scheme)
     os.makedirs(args.out, exist_ok=True)
-    result, grid, err = _reconstruct_once(op, scheme, sig, cfg)
-    result_f, grid_f, err_f = _reconstruct_once(op, flipped, sig, cfg)
+    grid, err = _reconstruct_once(op, scheme, sig, cfg)[1:3]
+    grid_f, err_f = _reconstruct_once(op, flipped, sig, cfg)[1:3]
     tag = f"{cfg['signal']}_N{levels.N_r}_m{scheme.total}_seed{cfg['seed']}"
     write_matrix_csv(grid.reshape(1, -1), os.path.join(args.out, f"flip_straight_{tag}.csv"))
     write_matrix_csv(grid_f.reshape(1, -1), os.path.join(args.out, f"flip_flipped_{tag}.csv"))

@@ -193,8 +193,6 @@ def test_m_tilde_haar_and_monotone():
             column_tail_norms(op, bad)
         with pytest.raises(ValueError):
             m_tilde(op, bad, K=1.0, s=3)
-    with pytest.raises(ValueError):
-        column_tail_norms(op, 8, M_band=-1)
 
 
 def test_m_tilde_unreachable_raises():

@@ -202,6 +202,52 @@ def test_solver_input_checks_on_both_routes(dense, monkeypatch):
     assert np.array_equal(res.coeffs, np.zeros(op.levels.M_r))
 
 
+def test_degenerate_section_stays_finite_on_both_routes(monkeypatch):
+    # Walsh rows 64 and 65 are orthogonal to the 32 Haar columns up to
+    # rounding (max |A| = 2.2e-18): nothing fits g, and the steps must not
+    # grow with the smallness of A
+    op = haar_op()
+    omega = np.array([64, 65])
+    g = np.array([1.0, -0.5])
+    cfg = ReconstructionConfig(L=32, max_iter=400)
+    results = []
+    for bound in (reconstruct.DENSE_SECTION_ELEMENTS, 0):
+        monkeypatch.setattr(reconstruct, "DENSE_SECTION_ELEMENTS", bound)
+        results.append(solve_bpdn(op, omega, g, cfg))
+    assert [res.dense_section for res in results] == [True, False]
+    for res in results:
+        assert np.isfinite(res.coeffs).all()
+        assert not res.converged and res.iterations == cfg.max_iter
+    assert results[0].feasibility_gap == results[1].feasibility_gap
+    assert abs(results[0].feasibility_gap - np.linalg.norm(g)) <= 1e-6
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "matrix-free"])
+def test_one_forward_and_one_adjoint_product_per_iteration(dense, monkeypatch):
+    if not dense:
+        monkeypatch.setattr(reconstruct, "DENSE_SECTION_ELEMENTS", 0)
+    op = lowband_op()
+    calls = {"apply": 0, "apply_adjoint": 0}
+    for name in calls:
+        method = getattr(op, name)
+
+        def counted(*args, _method=method, _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+
+        setattr(op, name, counted)
+    rng = np.random.default_rng(9)
+    omega = np.sort(rng.choice(64, 40, replace=False))
+    cfg = ReconstructionConfig(L=op.levels.M_r, max_iter=30)
+    res = solve_bpdn(op, omega, rng.standard_normal(omega.size), cfg)
+    assert res.dense_section == dense
+    assert not res.converged and res.iterations == cfg.max_iter
+    # the dense route builds A from one adjoint call per batch of rows, two here
+    build = len(op.batches(omega.size)) if dense else 0
+    assert build == (2 if dense else 0)
+    assert calls == {"apply": res.iterations, "apply_adjoint": res.iterations + build}
+
+
 def test_truncated_walsh_exact_for_finite_series():
     rng = np.random.default_rng(6)
     coarse = np.repeat(rng.standard_normal(8), 16)  # constant on 2^-3 cells
