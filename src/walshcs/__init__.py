@@ -50,7 +50,6 @@ from .walsh import (
 )
 from .wavelets import (
     LevelStructure,
-    SignalExpansion,
     WaveletBasis,
     build_basis,
     cascade_tabulate,

@@ -147,7 +147,7 @@ class SparsityReport:
 
     exact holds the enumerated S_k on small instances and is None when the
     instance exceeds the enumeration cap; sigma is the best s-in-levels
-    approximation error of the supplied expansion, when one is given.
+    approximation error of the supplied coefficients, when given.
     """
 
     s: tuple
@@ -157,14 +157,14 @@ class SparsityReport:
     sigma: float | None = None
 
 
-def sparsity_report(op, s, constant=1.0, expansion=None):
+def sparsity_report(op, s, constant=1.0, coeffs=None):
     """Bundle exact-or-bounded relative sparsities for the operator's levels."""
     lv = op.levels
     exact = relative_sparsity_exact(op, s) if lv.M_r <= ENUMERATION_CAP else None
     bound = relative_sparsity_bound(lv, s, constant)
     sigma = None
-    if expansion is not None:
-        sigma = sigma_sM(expansion.coeffs, lv, s)
+    if coeffs is not None:
+        sigma = sigma_sM(coeffs, lv, s)
     return SparsityReport(
         s=tuple(int(v) for v in s), exact=exact, bound=bound, constant=constant,
         sigma=sigma,

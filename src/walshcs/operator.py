@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .walsh import fwht_sequency, ifwht_sequency
-from .wavelets import LevelStructure, SignalExpansion, dwt_forward, dwt_inverse
+from .wavelets import dwt_forward, dwt_inverse
 
 SECTION_GUARD = 1 << 12
 # grid values one batched transform call holds (1 MB); see CobOperator.batches.
@@ -91,31 +91,27 @@ class CobOperator:
 
     # -- fast paths ---------------------------------------------------------
 
-    def _expansion(self, coeffs):
-        """A coefficient array (length <= M_r) or expansion as an expansion
-        up to the level holding its last coefficient."""
-        if isinstance(coeffs, SignalExpansion):
-            coeffs = coeffs.coeffs
+    def _padded(self, coeffs):
+        """A coefficient array (length <= M_r) zero-padded to length 2^top,
+        where top (see _top) is the scale just above its last coefficient."""
         coeffs = np.asarray(coeffs, dtype=float)
         n = coeffs.shape[-1]
         if n > self.levels.M_r:
             raise ValueError("coefficient vector longer than the level structure")
-        j0 = self.levels.J0
-        top = self._top(n)
-        full = np.zeros(coeffs.shape[:-1] + (1 << top,))
+        full = np.zeros(coeffs.shape[:-1] + (1 << self._top(n),))
         full[..., :n] = coeffs
-        return SignalExpansion(levels=LevelStructure(j0, top - j0), coeffs=full)
+        return full
 
     def _top(self, n):
         """Scale of the expansion holding the first n coefficients."""
         return min(self.Q, max(self.levels.J0 + 1, (n - 1).bit_length()))
 
     def synthesize(self, coeffs):
-        """Grid cell averages of the expansion (length <= M_r).
+        """Grid cell averages of the coefficient array (length <= M_r).
 
-        The expansion is built up to the level holding its last coefficient;
+        The array is padded up to the level holding its last coefficient;
         dwt_inverse treats the levels above it as zero."""
-        return dwt_inverse(self._expansion(coeffs), self.basis, self.Q)
+        return dwt_inverse(self._padded(coeffs), self.basis, self.Q)
 
     def apply(self, coeffs, omega, section=None):
         """Walsh samples of the synthesized expansion at the indices omega,
@@ -126,9 +122,9 @@ class CobOperator:
         if section is not None:
             return coeffs @ section.T
         omega = self._check_omega(omega)
-        exp = self._expansion(coeffs)
-        m = max(exp.levels.J0 + exp.levels.r, int(omega.max(initial=0)).bit_length())
-        grid = dwt_inverse(exp, self.basis, m)
+        full = self._padded(coeffs)
+        m = max(full.shape[-1].bit_length() - 1, int(omega.max(initial=0)).bit_length())
+        grid = dwt_inverse(full, self.basis, m)
         if m < self.Q:
             grid = self.basis.average(grid, self.Q - m)
         return np.take(fwht_sequency(grid), omega, axis=-1)
@@ -156,7 +152,7 @@ class CobOperator:
         grid = ifwht_sequency(grid)
         if m < self.Q:
             grid = self.basis.average_adjoint(grid, self.Q - m)
-        return dwt_forward(grid, self.basis, top=top).coeffs[..., :L]
+        return dwt_forward(grid, self.basis, top=top)[..., :L]
 
     def _check_omega(self, omega):
         omega = np.asarray(omega, dtype=np.int64)
@@ -181,12 +177,15 @@ class CobOperator:
     def column(self, j, N):
         """Column j over the rows below N, or for an index array one column per
         index stacked along the first axis: one apply of one-hot rows (no
-        cache), which runs on the full 2^Q grid only for N above 2^(Q-1)."""
+        cache), which runs on the full 2^Q grid only for N above 2^(Q-1).
+        Like rows_dense, more than SECTION_GUARD^2 entries raise."""
         j = np.asarray(j, dtype=np.int64)
         if j.size and (j.min() < 0 or j.max() >= self.levels.M_r):
             raise ValueError(f"column index outside the level structure [0, {self.levels.M_r})")
         if not 0 <= N <= self.n_grid:
             raise ValueError(f"row count must lie in [0, 2^{self.Q}], got {N}")
+        if j.size * N > SECTION_GUARD * SECTION_GUARD:
+            raise SizeGuardError("requested column block exceeds the size guard")
         one_hot = j[..., None] == np.arange(j.max(initial=0) + 1)
         return self.apply(one_hot, np.arange(N))
 

@@ -57,6 +57,7 @@ class SamplingScheme:
         if len(self.m) != self.levels.r or len(self.omegas) != self.levels.r:
             raise ValueError("per-level counts must match the level structure")
         n = self.levels.N
+        omegas = []
         for k, om in enumerate(self.omegas, start=1):
             om = np.asarray(om, dtype=np.int64)
             if om.size != self.m[k - 1]:
@@ -65,7 +66,8 @@ class SamplingScheme:
                 raise ValueError(f"level {k} indices leave the band [{n[k-1]}, {n[k]})")
             if np.unique(om).size != om.size:
                 raise ValueError(f"level {k} indices repeat")
-            self.omegas[k - 1] = np.sort(om)
+            omegas.append(np.sort(om))
+        self.omegas = omegas
 
     @property
     def union(self):

@@ -52,18 +52,9 @@ def _daubechies_mp(p):
         poly = [mp.mpf(0)] * (2 * p - 1)
         for k in range(p):
             c = mp.binomial(p - 1 + k, k) / mp.mpf(4) ** k
+            # (2 - z - 1/z)^k = sum_m (-1)^m binom(2k, k+m) z^m
             for m in range(-k, k + 1):
-                s = mp.mpf(0)
-                for a in range(k + 1):
-                    b = a + m
-                    if 0 <= b <= k - a:
-                        s += (
-                            mp.binomial(k, a)
-                            * mp.binomial(k - a, b)
-                            * mp.mpf(2) ** (k - a - b)
-                            * (-1) ** (a + b)
-                        )
-                poly[m + p - 1] += c * s
+                poly[m + p - 1] += c * ((-1) ** abs(m) * mp.binomial(2 * k, k + m))
         roots = mp.polyroots(
             [poly[i] for i in range(2 * p - 2, -1, -1)], maxsteps=2000, extraprec=200
         )
@@ -101,7 +92,7 @@ def daubechies_filter(p):
     """
     if p not in _SUPPORTED_ORDERS:
         raise ValueError(f"unsupported wavelet order {p} (allowed: {_SUPPORTED_ORDERS})")
-    return np.array([float(x) for x in _daubechies_mp(p)])
+    return _filters_for_order(p)[0].copy()
 
 
 def wavelet_filter_from_scaling(h):
@@ -481,40 +472,14 @@ class LevelStructure:
         return slice(int(n[k - 1]), int(n[k]))
 
 
-@dataclass
-class SignalExpansion:
-    """Coefficients ordered scaling block first, then wavelet levels, along
-    the last axis (leading axes are a batch of expansions)."""
-
-    levels: LevelStructure
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape[-1:] != (self.levels.M_r,):
-            raise ValueError(
-                f"expected {self.levels.M_r} coefficients, got {self.coeffs.shape}"
-            )
-
-    def scaling_block(self):
-        return self.coeffs[..., : 1 << self.levels.J0]
-
-    def wavelet_level(self, j):
-        """Wavelet coefficients at dyadic level j (J0 <= j < J0 + r)."""
-        if not self.levels.J0 <= j < self.levels.J0 + self.levels.r:
-            raise ValueError(f"level {j} outside expansion range")
-        return self.coeffs[..., 1 << j : 1 << (j + 1)]
-
-
 def dwt_forward(samples, basis, top=None):
     """Full discrete wavelet analysis of cell averages on a dyadic grid.
 
-    Returns a SignalExpansion of L2([0,1]) coefficients: scaling block at
-    level basis.J0, then wavelet levels below `top` (default the grid scale;
-    the levels at or above it are not analysed, which makes this the
-    transpose of dwt_inverse of an expansion ending at `top`).  Exact
-    inverse of dwt_inverse at the same scale.  Acts along the last axis;
-    leading axes are a batch.
+    Returns the 2^top L2([0,1]) coefficients: scaling block at level
+    basis.J0, then wavelet levels below `top` (default the grid scale; the
+    levels at or above it are not analysed, which makes this the transpose
+    of dwt_inverse of 2^top coefficients).  Exact inverse of dwt_inverse at
+    the same scale.  Acts along the last axis; leading axes are a batch.
     """
     v = np.asarray(samples, dtype=float)
     n = v.shape[-1] if v.ndim else 0
@@ -532,23 +497,26 @@ def dwt_forward(samples, basis, top=None):
             out[..., 1 << j : 1 << (j + 1)] = basis.analysis(c, "wavelet")
         c = basis.analysis(c)
     out[..., : 1 << r0] = c
-    return SignalExpansion(levels=LevelStructure(J0=r0, r=top - r0), coeffs=out)
+    return out
 
 
-def dwt_inverse(expansion, basis, Q):
-    """Cell averages at scale Q of the function the expansion represents
-    (wavelet levels above the expansion's range are treated as zero), along
-    the last axis of its coefficients."""
-    levels = expansion.levels
-    r0 = levels.J0
-    top = levels.J0 + levels.r
-    if Q < top:
-        raise ValueError(f"target scale {Q} below expansion scale {top}")
-    c = expansion.coeffs[..., : 1 << r0].copy()
+def dwt_inverse(coeffs, basis, Q):
+    """Cell averages at scale Q of the function with the 2^top coefficients
+    along the last axis of coeffs, ordered as dwt_forward returns them
+    (J0 < top <= Q; wavelet levels at or above top are treated as zero)."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    n = coeffs.shape[-1] if coeffs.ndim else 0
+    r0 = basis.J0
+    top = n.bit_length() - 1
+    if n & (n - 1) or not r0 < top <= Q:
+        raise ValueError(
+            f"need 2^top coefficients with J0 = {r0} < top <= Q = {Q}, got {n}"
+        )
+    c = coeffs[..., : 1 << r0].copy()
     for j in range(r0, Q):
         c2 = basis.synthesis(c)
         if j < top:
-            c2 += basis.synthesis(expansion.coeffs[..., 1 << j : 1 << (j + 1)], "wavelet")
+            c2 += basis.synthesis(coeffs[..., 1 << j : 1 << (j + 1)], "wavelet")
         c = c2
     return c * 2.0 ** (Q / 2.0)
 

@@ -220,13 +220,12 @@ def test_sigma_examples_and_bruteforce():
 
 def test_sparsity_report_bundles_exact_and_bound():
     from walshcs.analysis import sparsity_report
-    from walshcs.wavelets import SignalExpansion
 
     op = haar_op(r=3)
-    exp = SignalExpansion(levels=op.levels, coeffs=np.arange(8, dtype=float))
-    rep = sparsity_report(op, (1, 1, 2), constant=1.0, expansion=exp)
+    coeffs = np.arange(8, dtype=float)
+    rep = sparsity_report(op, (1, 1, 2), constant=1.0, coeffs=coeffs)
     assert np.max(np.abs(rep.exact - np.array([1.0, 1.0, 2.0]))) < 1e-12
-    assert rep.sigma == sigma_sM(exp.coeffs, op.levels, (1, 1, 2))
+    assert rep.sigma == sigma_sM(coeffs, op.levels, (1, 1, 2))
     big = db_op(4, r=2)
     rep = sparsity_report(big, (2, 2))
     assert rep.exact is None and rep.bound.shape == (2,)

@@ -14,7 +14,7 @@ from walshcs.operator import (
     write_pgm,
 )
 from walshcs.walsh import fwht_sequency, ifwht_sequency
-from walshcs.wavelets import LevelStructure, SignalExpansion, build_basis, dwt_forward
+from walshcs.wavelets import LevelStructure, build_basis, dwt_forward
 
 
 def haar_op(r=4, Q=None):
@@ -114,12 +114,11 @@ def test_adjoint_identity(p, batch):
     k=st.integers(0, 13),
     L=st.sampled_from([1 << 10, 1000]),
     batch=st.lists(st.integers(1, 3), max_size=2),
-    as_expansion=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(p=4, k=13, L=1 << 10, batch=[], as_expansion=False, seed=0)
-@example(p=8, k=13, L=1000, batch=[2], as_expansion=True, seed=1)
-def test_band_route_matches_full_grid(p, k, L, batch, as_expansion, seed):
+@example(p=4, k=13, L=1 << 10, batch=[], seed=0)
+@example(p=8, k=13, L=1000, batch=[2], seed=1)
+def test_band_route_matches_full_grid(p, k, L, batch, seed):
     # samples below 2^k and coefficients below L: apply / apply_adjoint run
     # at the working scale m and must match the transforms on the full
     # 2^Q grid (M_r = 2^10, Q = 13), and equal them where m = Q.  Both routes
@@ -132,17 +131,12 @@ def test_band_route_matches_full_grid(p, k, L, batch, as_expansion, seed):
     omega = rng.choice(1 << k, min(1 << k, 50), replace=False)
     x = rng.standard_normal((*batch, L))
     y = rng.standard_normal((*batch, omega.size))
-    coeffs = x
-    if as_expansion:
-        padded = np.zeros((*batch, op.levels.M_r))
-        padded[..., :L] = x
-        coeffs = SignalExpansion(levels=op.levels, coeffs=padded)
-    fwd = op.apply(coeffs, omega)
-    ref_fwd = np.take(fwht_sequency(op.synthesize(coeffs)), omega, axis=-1)
+    fwd = op.apply(x, omega)
+    ref_fwd = np.take(fwht_sequency(op.synthesize(x)), omega, axis=-1)
     adj = op.apply_adjoint(y, omega, L=L)
     grid = np.zeros((*batch, op.n_grid))
     grid[..., omega] = y
-    ref_adj = dwt_forward(ifwht_sequency(grid), op.basis).coeffs[..., :L]
+    ref_adj = dwt_forward(ifwht_sequency(grid), op.basis)[..., :L]
     assert fwd.shape == y.shape and adj.shape == x.shape
     for got, ref in ((fwd, ref_fwd), (adj, ref_adj)):
         assert np.max(np.abs(got - ref)) <= 3e-15 * max(1.0, np.max(np.abs(ref)))
@@ -209,6 +203,16 @@ def test_section_dense_guard_and_shape():
     assert np.max(np.linalg.norm(s, axis=0)) <= 1.0 + 1e-10
 
 
+def test_column_guard():
+    # column blocks obey the rows_dense rule: more than SECTION_GUARD^2
+    # entries raise before anything is allocated
+    op = haar_op(r=4)
+    with mock.patch.object(operator, "SECTION_GUARD", 4):
+        with pytest.raises(SizeGuardError):
+            op.column(np.arange(5), 4)
+        assert op.column(np.arange(4), 4).shape == (4, 4)
+
+
 def test_haar_section_block_diagonal():
     op = haar_op(r=4)
     s = op.section_dense(16, 16)
@@ -253,13 +257,6 @@ def test_dc_row_matches_refined_quadrature():
             assert abs(op.entry(0, n) - oracle) < 8.0 * 2.0**-q
         wave = cascade_tabulate(basis, 3, 4, q + 4, kind="wavelet")
         assert abs(op.entry(0, 8 + 4) - wave.sum() / (1 << (q + 4))) < 8.0 * 2.0**-q
-
-
-def test_apply_accepts_expansion():
-    op = haar_op()
-    exp = SignalExpansion(levels=op.levels, coeffs=np.arange(16, dtype=float))
-    direct = op.apply(exp.coeffs, np.arange(8))
-    assert np.array_equal(op.apply(exp, np.arange(8)), direct)
 
 
 def test_entry_refinement_convergence():

@@ -27,6 +27,14 @@ def test_scheme_validation():
         SamplingScheme(lv, (2, 0), [np.array([1, 1]), np.array([], dtype=int)], seed=0)
 
 
+def test_scheme_leaves_caller_omegas_alone():
+    lv = LevelStructure(J0=1, r=2)
+    om = (np.array([1, 0]), np.array([7, 5]))
+    s = SamplingScheme(lv, (2, 2), om, seed=0)
+    assert [list(o) for o in om] == [[1, 0], [7, 5]]
+    assert [list(o) for o in s.omegas] == [[0, 1], [5, 7]]
+
+
 def test_full_sampling_is_everything():
     lv = LevelStructure(J0=1, r=2)
     for seed in (0, 5, 99):

@@ -14,7 +14,6 @@ from walshcs.wavelets import (
     _edge_dps,
     _filters_for_order,
     _refinement_matrix,
-    SignalExpansion,
     build_basis,
     cascade_tabulate,
     daubechies_filter,
@@ -196,7 +195,7 @@ def test_dwt_round_trip(p, batch, octaves):
     back = dwt_inverse(exp, basis, 10)
     assert np.max(np.abs(back - v)) < 1e-10
     zero = dwt_forward(np.zeros(1 << basis.J0 + 2), basis)
-    assert np.all(zero.coeffs == 0.0)
+    assert np.all(zero == 0.0)
     # the scaling block sits at J0, which must lie below the grid scale
     with pytest.raises(ValueError):
         dwt_forward(np.zeros(1 << basis.J0), basis)
@@ -205,7 +204,7 @@ def test_dwt_round_trip(p, batch, octaves):
     stack = rng.standard_normal((*batch, 1 << q))
     exp = dwt_forward(stack, basis)
     rows = [dwt_forward(row, basis) for row in stack.reshape(-1, 1 << q)]
-    assert_matches_stack(exp.coeffs, np.reshape([e.coeffs for e in rows], stack.shape))
+    assert_matches_stack(exp, np.reshape(rows, stack.shape))
     back = dwt_inverse(exp, basis, q + 1)
     rows_back = [dwt_inverse(e, basis, q + 1) for e in rows]
     assert back.shape == (*batch, 2 << q)
@@ -213,7 +212,7 @@ def test_dwt_round_trip(p, batch, octaves):
     assert np.max(np.abs(dwt_inverse(exp, basis, q) - stack)) < 1e-10
     # an expansion cut at scale top skips the levels above and keeps the rest
     cut = dwt_forward(stack, basis, top=basis.J0 + 1)
-    assert np.array_equal(cut.coeffs, exp.coeffs[..., : 2 << basis.J0])
+    assert np.array_equal(cut, exp[..., : 2 << basis.J0])
 
 
 @pytest.mark.parametrize("p", [1, 3, 4, 5, 6, 7, 8, 9, 10])
@@ -266,7 +265,7 @@ def test_dwt_matches_basis_matrix_at_length_64():
     v = rng.standard_normal(1 << q)
     exp = dwt_forward(v, basis)
     direct = mat.T @ v / (1 << q)
-    assert np.max(np.abs(exp.coeffs - direct)) < 1e-10
+    assert np.max(np.abs(exp - direct)) < 1e-10
 
 
 def test_polynomial_reproduction_interior():
@@ -276,7 +275,7 @@ def test_polynomial_reproduction_interior():
         basis = _basis(p)
         exp = dwt_forward(t, basis)
         for j in range(basis.J0, q):
-            w = exp.wavelet_level(j)
+            w = exp[1 << j : 2 << j]
             if w.size > 2 * p:
                 assert np.max(np.abs(w[p : w.size - p])) < 1e-8
 
@@ -324,15 +323,13 @@ def test_level_structure_vectors():
         LevelStructure(J0=3, r=0)
 
 
-def test_signal_expansion_accessors():
-    lv = LevelStructure(J0=2, r=3)
-    exp = SignalExpansion(levels=lv, coeffs=np.arange(32, dtype=float))
-    assert np.array_equal(exp.scaling_block(), np.arange(4))
-    assert np.array_equal(exp.wavelet_level(3), np.arange(8, 16))
-    with pytest.raises(ValueError):
-        exp.wavelet_level(5)
-    with pytest.raises(ValueError):
-        SignalExpansion(levels=lv, coeffs=np.zeros(33))
+def test_dwt_inverse_rejects_bad_coefficient_counts():
+    # 2^top coefficients with J0 < top <= Q, top read off the length
+    basis = _basis(3)  # J0 = 3
+    assert dwt_inverse(np.zeros(32), basis, 5).shape == (32,)
+    for n, q in ((33, 6), (1 << basis.J0, 5), (64, 5)):
+        with pytest.raises(ValueError):
+            dwt_inverse(np.zeros(n), basis, q)
 
 
 def test_filter_export_roundtrip(tmp_path):
