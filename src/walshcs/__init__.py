@@ -6,7 +6,6 @@ from .analysis import (
     CoherenceReport,
     SparsityReport,
     balancing_check,
-    coherence,
     coherence_report,
     column_tail_norms,
     m_tilde,
@@ -16,7 +15,7 @@ from .analysis import (
     sparsity_report,
     tail_norm,
 )
-from .operator import CobOperator, MeasurementVector, SizeGuardError
+from .operator import CobOperator, MeasurementVector, SizeGuardError, Workspace
 from .reconstruct import (
     NumericalError,
     ReconstructionConfig,
@@ -40,6 +39,7 @@ from .signals import make_signal, signal_jump, signal_smooth
 from .walsh import (
     DyadicPoint,
     SequencyIndex,
+    SequencyPlan,
     WalshPolynomial,
     fwht_sequency,
     ifwht_sequency,
@@ -50,6 +50,7 @@ from .walsh import (
 )
 from .wavelets import (
     LevelStructure,
+    Scratch,
     WaveletBasis,
     build_basis,
     cascade_tabulate,

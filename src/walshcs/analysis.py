@@ -23,14 +23,6 @@ ENUMERATION_CAP = 16
 CONSTANTS_GRID_EXPONENT = 12
 
 
-def coherence(section):
-    """Largest squared entry magnitude of a dense section."""
-    section = np.asarray(section)
-    if section.size == 0:
-        raise ValueError("coherence of an empty section is undefined")
-    return float(np.max(np.abs(section)) ** 2)
-
-
 @dataclass
 class CoherenceReport:
     """Local coherences mu(k, l), their tail variant, and fitted constants."""
@@ -42,7 +34,6 @@ class CoherenceReport:
     fitted_constant: float
     ratios: np.ndarray
     bound_shape: np.ndarray
-    inf_is_approximate: bool = True
 
 
 def coherence_report(op):
@@ -50,7 +41,8 @@ def coherence_report(op):
 
     mu[k-1, l-1] is the (k, l) local coherence; mu_inf[k-1] uses columns
     beyond M_(r-1) as the tail block (the oversampling supremum is
-    approximated by the largest materialized band, hence the flag).
+    approximated by the largest materialized band, the 2^Q columns of the
+    module docstring).
     """
     lv = op.levels
     r = lv.r

@@ -20,6 +20,19 @@ differs (about 1e-15 relative).  apply_adjoint is its transpose: scatter at
 2^m, inverse transform, B^T, analysis from level m, skipping the wavelet
 levels at or above L.  When a sample reaches 2^(Q-1), m = Q, B is the
 identity and is not applied, and the full-grid operations run unchanged.
+
+Workspace: a caller that takes many products at one index set (the solver
+takes two per iteration) builds one Workspace and passes it to apply and
+apply_adjoint.  It checks omega once, fixes m and keeps every 2^m-sized
+array the transforms need, so the products allocate nothing of grid size;
+omega is folded into the Hadamard order of the sequency transform, so apply
+gathers |omega| values and apply_adjoint scatters them onto a grid that
+stays zero elsewhere.  Whoever builds a Workspace owns it; CobOperator keeps
+no state.  A product with a Workspace runs the same floating-point
+operations in the same order as one without (which builds a fresh
+Workspace for the call), so the two are equal bit for bit, and no array
+returned is one the Workspace holds.  On the dense route a Workspace holds
+the formed section instead, and every product is one matrix product.
 """
 
 from __future__ import annotations
@@ -28,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walsh import fwht_sequency, ifwht_sequency
-from .wavelets import dwt_forward, dwt_inverse
+from .walsh import SequencyPlan, fwht_sequency, ifwht_sequency
+from .wavelets import Scratch, dwt_forward, dwt_inverse
 
 SECTION_GUARD = 1 << 12
 # grid values one batched transform call holds (1 MB); see CobOperator.batches.
@@ -91,14 +104,16 @@ class CobOperator:
 
     # -- fast paths ---------------------------------------------------------
 
-    def _padded(self, coeffs):
+    def _padded(self, coeffs, scratch):
         """A coefficient array (length <= M_r) zero-padded to length 2^top,
-        where top (see _top) is the scale just above its last coefficient."""
+        where top (see _top) is the scale just above its last coefficient,
+        in the array "padded" of scratch."""
         coeffs = np.asarray(coeffs, dtype=float)
         n = coeffs.shape[-1]
         if n > self.levels.M_r:
             raise ValueError("coefficient vector longer than the level structure")
-        full = np.zeros(coeffs.shape[:-1] + (1 << self._top(n),))
+        full = scratch.array("padded", coeffs.shape[:-1] + (1 << self._top(n),))
+        full[..., n:] = 0.0
         full[..., :n] = coeffs
         return full
 
@@ -111,48 +126,42 @@ class CobOperator:
 
         The array is padded up to the level holding its last coefficient;
         dwt_inverse treats the levels above it as zero."""
-        return dwt_inverse(self._padded(coeffs), self.basis, self.Q)
+        return dwt_inverse(self._padded(coeffs, Scratch()), self.basis, self.Q)
 
-    def apply(self, coeffs, omega, section=None):
+    def apply(self, coeffs, omega, work=None):
         """Walsh samples of the synthesized expansion at the indices omega,
         computed at the working scale m from the cell averages B_(Q-m) of
-        the surrogate (see the module docstring).  Given section, the
-        rows_dense of this omega over the coefficient length, the samples
-        are one product with it instead."""
-        if section is not None:
-            return coeffs @ section.T
-        omega = self._check_omega(omega)
-        full = self._padded(coeffs)
-        m = max(full.shape[-1].bit_length() - 1, int(omega.max(initial=0)).bit_length())
-        grid = dwt_inverse(full, self.basis, m)
-        if m < self.Q:
-            grid = self.basis.average(grid, self.Q - m)
-        return np.take(fwht_sequency(grid), omega, axis=-1)
+        the surrogate (see the module docstring).  work is a Workspace built
+        for this omega and coefficient count, or None for a fresh one."""
+        if work is None:
+            work = Workspace(self, omega, max(np.shape(coeffs)[-1], 1))
+        if work.section is not None:
+            return coeffs @ work.section.T
+        full = self._padded(coeffs, work.scratch)
+        if full.shape[-1] != 1 << work.top:
+            raise ValueError("coefficient count and workspace end at different scales")
+        grid = dwt_inverse(full, self.basis, work.m, work.scratch)
+        if work.m < self.Q:
+            grid = self.basis.average(grid, self.Q - work.m, work.scratch)
+        return fwht_sequency(grid, work.plan(grid.shape[:-1]))
 
-    def apply_adjoint(self, values, omega, L=None, section=None):
+    def apply_adjoint(self, values, omega, L=None, work=None):
         """Exact transpose of apply, truncated to the first L coefficients
         (default M_r); wavelet levels at or above L are not analysed.  L may
         reach past the level structure up to the tabulated band 2^Q, whose
-        columns the analysis reports sum over.  Given section, the
-        rows_dense of this omega over L, the result is one product with it
-        instead."""
-        if section is not None:
-            return values @ section
-        omega = self._check_omega(omega)
+        columns the analysis reports sum over.  work is a Workspace built
+        for this omega and L, or None for a fresh one."""
+        if work is None:
+            work = Workspace(self, omega, L)
+        if work.section is not None:
+            return values @ work.section
         values = np.asarray(values, dtype=float)
-        if values.shape[-1:] != omega.shape:
+        if values.shape[-1:] != work.omega.shape:
             raise ValueError("values and omega must have matching shapes")
-        L = self.levels.M_r if L is None else int(L)
-        if not 1 <= L <= self.n_grid:
-            raise ValueError(f"L must lie in [1, 2^{self.Q}], got {L}")
-        top = self._top(L)
-        m = max(top, int(omega.max(initial=0)).bit_length())
-        grid = np.zeros(values.shape[:-1] + (1 << m,))
-        grid.T[omega] = values.T  # along the last axis, without an Ellipsis index
-        grid = ifwht_sequency(grid)
-        if m < self.Q:
-            grid = self.basis.average_adjoint(grid, self.Q - m)
-        return dwt_forward(grid, self.basis, top=top)[..., :L]
+        grid = ifwht_sequency(values, work.plan(values.shape[:-1]))
+        if work.m < self.Q:
+            grid = self.basis.average_adjoint(grid, self.Q - work.m, work.scratch)
+        return dwt_forward(grid, self.basis, top=work.top, work=work.scratch)[..., : work.L]
 
     def _check_omega(self, omega):
         omega = np.asarray(omega, dtype=np.int64)
@@ -189,12 +198,6 @@ class CobOperator:
         one_hot = j[..., None] == np.arange(j.max(initial=0) + 1)
         return self.apply(one_hot, np.arange(N))
 
-    def entry(self, i, j):
-        """Single entry u[i, j] = <Wal(i,.), basis function j>, read off column j."""
-        if not 0 <= i < self.n_grid:
-            raise ValueError(f"row {i} outside the tabulated range [0, 2^{self.Q})")
-        return float(self.column(j, i + 1)[i])
-
     def section_dense(self, N, M):
         """Dense section of rows < N and columns < M, read from batches of
         columns (each read afresh)."""
@@ -222,6 +225,32 @@ class CobOperator:
             k = batch.stop - batch.start
             out[batch] = self.apply_adjoint(np.eye(k), rows[batch], L=M)
         return out
+
+
+class Workspace:
+    """What the products of one CobOperator at one index set reuse (see the
+    module docstring): omega, checked once, and the coefficient count L
+    (default M_r); with dense=True the section P_omega U P_L formed by
+    rows_dense, otherwise the scale top of the first L coefficients, the
+    working scale m, a Scratch for the wavelet transforms and, per batch
+    shape, a SequencyPlan at omega."""
+
+    def __init__(self, op, omega, L=None, dense=False):
+        self.omega = op._check_omega(omega)
+        self.L = op.levels.M_r if L is None else int(L)
+        if not 1 <= self.L <= op.n_grid:
+            raise ValueError(f"L must lie in [1, 2^{op.Q}], got {self.L}")
+        self.section = op.rows_dense(self.omega, self.L) if dense else None
+        self.top = op._top(self.L)
+        self.m = max(self.top, int(self.omega.max(initial=0)).bit_length())
+        self.scratch = Scratch()
+        self._plans = {}
+
+    def plan(self, batch):
+        """The SequencyPlan of (*batch, 2^m) grids at omega."""
+        if batch not in self._plans:
+            self._plans[batch] = SequencyPlan(batch + (1 << self.m,), self.omega)
+        return self._plans[batch]
 
 
 def write_matrix_csv(matrix, path):

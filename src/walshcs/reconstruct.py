@@ -9,13 +9,16 @@ and the steps tau = sigma = 0.95 need no estimate.  The truncated Walsh
 series baseline and the error metric live here as well.
 
 A reaches the iteration by one of two routes, chosen from its size alone.
-When |Omega| * L is at most DENSE_SECTION_ELEMENTS (2^19 values, 4 MB), the
+When |Omega| * L is at most DENSE_SECTION_ELEMENTS (2^20 values, 8 MB), the
 solver forms A once (CobOperator.rows_dense of omega) and every product is a
 BLAS matrix-vector product with it; above it, every product runs the
-matrix-free transforms.  Both go through CobOperator.apply / apply_adjoint,
-which take the formed A as their section argument.  The routes apply the
-same linear map and differ by rounding only; the result's dense_section
-field says which one ran.
+matrix-free transforms.  Either way the solver builds one operator.Workspace
+for the solve, which holds the formed A or the transforms' buffers, and
+passes it to CobOperator.apply / apply_adjoint, its only product calls;
+omega is checked once, when the Workspace is built.  The matrix-free
+products then allocate nothing of grid size and equal the allocating calls
+bit for bit.  The routes apply the same linear map and differ by rounding
+only; the result's dense_section field says which one ran.
 """
 
 from __future__ import annotations
@@ -25,16 +28,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operator import MeasurementVector
+from .operator import MeasurementVector, Workspace
 from .walsh import fwht_sequency, ifwht_sequency
 
 # |Omega| * L up to which solve_bpdn forms the sampled section explicitly
-# (float64 values, 4 MB).  The bound is set by memory and build time, not by
+# (float64 values, 8 MB).  The bound is set by memory and build time, not by
 # speed: the section and its build batches add to the solve's peak memory
-# (64 x 4096, 2 MB: +2.1 MB on a 47 MB process), and at 512 x 4096 the 16 MB
-# section would take 0.6-0.9 s to build and grow that peak by a third,
-# although its products still beat the matrix-free ones by about 2.6x.
-DENSE_SECTION_ELEMENTS = 1 << 19
+# (64 x 4096, 2 MB: +2.1 MB on a 47 MB process).  At 256 x 4096 the 8 MB
+# section takes 0.1 s to build and a 1200-iteration solve 1.1-1.4 s
+# against 1.4-2.6 s matrix-free; at 512 x 4096 the 16 MB section would take
+# 0.5-0.7 s to build and grow the peak by a third, although its products
+# still beat the matrix-free ones (with their workspace) by about 1.7x.
+DENSE_SECTION_ELEMENTS = 1 << 20
 
 
 class NumericalError(RuntimeError):
@@ -82,8 +87,9 @@ def solve_bpdn(op, omega, g, cfg=None):
     wins over the config's, which applies when it is zero or g is plain.
     Non-convergence within max_iter is flagged on the result, never silent.
     The sampled section is formed explicitly when |omega| * L is at most
-    DENSE_SECTION_ELEMENTS and applied matrix-free otherwise.  Each
-    iteration makes one adjoint and one forward product.
+    DENSE_SECTION_ELEMENTS and applied matrix-free otherwise, in both cases
+    through one Workspace for the solve.  Each iteration makes one adjoint
+    and one forward product.
     """
     cfg = cfg or ReconstructionConfig()
     if hasattr(omega, "union"):
@@ -111,7 +117,7 @@ def solve_bpdn(op, omega, g, cfg=None):
             objective_trace=np.zeros(1),
             dense_section=dense,
         )
-    section = op.rows_dense(omega, L) if dense else None
+    work = Workspace(op, omega, L, dense=dense)
     # A is a row-and-column section of the orthogonal U: tau sigma ||A||^2 <= 0.9025
     tau = sigma = 0.95
 
@@ -132,10 +138,10 @@ def solve_bpdn(op, omega, g, cfg=None):
         wn = np.linalg.norm(w)
         y = w * max(0.0, 1.0 - sigma * delta / wn) if wn > 0 else w
         # primal: soft thresholding
-        x_new = _soft_threshold(x - tau * op.apply_adjoint(y, omega, L=L, section=section), tau)
+        x_new = _soft_threshold(x - tau * op.apply_adjoint(y, omega, work=work), tau)
         if not np.isfinite(x_new).all():
             raise NumericalError(f"solver produced non-finite iterates at step {it}")
-        ax_new = op.apply(x_new, omega, section=section)
+        ax_new = op.apply(x_new, omega, work=work)
         ax_bar = 2.0 * ax_new - ax  # A (2 x_new - x), by linearity
         x, ax = x_new, ax_new
         if it % check_every == 0 or it == cfg.max_iter:

@@ -69,14 +69,6 @@ class DyadicPoint:
         if not 0 <= self.numerator < (1 << self.scale):
             raise ValueError("numerator must satisfy 0 <= numerator < 2^scale")
 
-    @classmethod
-    def from_float(cls, x, scale=MAX_SCALE):
-        """Exact conversion of a float in [0,1) that is dyadic at `scale`."""
-        num = x * (1 << scale)
-        if num != int(num):
-            raise ValueError(f"{x} is not dyadic at scale {scale}")
-        return cls(int(num), scale)
-
     @property
     def value(self):
         return self.numerator / (1 << self.scale)
@@ -163,10 +155,10 @@ def ordering_convert(n, from_ordering, to_ordering, bits=None):
     return bit_reverse(p, bits)
 
 
-def _check_length(v):
-    if v.ndim == 0:
+def _check_length(shape):
+    if not shape:
         raise ValueError("transforms need at least one axis")
-    n = v.shape[-1]
+    n = shape[-1]
     if n < 1 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
     return n.bit_length() - 1
@@ -185,9 +177,10 @@ def _butterflies(w, bits, stages, t):
         b[...] = d
 
 
-def _hadamard(v):
-    """Sylvester (natural) order Hadamard transform along the last axis, on a
-    copy of v, O(N log N).
+def _hadamard(v, plan):
+    """Sylvester (natural) order Hadamard transform along the last axis of v,
+    in the buffers of plan (a SequencyPlan of v's shape), O(N log N); v is
+    read, never written.
 
     Stage s = 0 .. J-1 adds and subtracts the values 2^s apart, with the same
     two operations per element in any memory layout, so the layout changes
@@ -196,20 +189,19 @@ def _hadamard(v):
     puts the low k = J // 2 index bits on the leading axis, so their stages
     add runs of 2^(J-k) * batch values or more.  A second copy restores index
     order (transform axis first) for the other J - k stages, which add runs
-    of 2^k * batch or more.  One half-size buffer serves every stage.
+    of 2^k * batch or more.  One half-size buffer serves every stage.  The
+    result is a view of the plan's second buffer.
     """
     shape, n = v.shape, v.shape[-1]
     j = n.bit_length() - 1
     k = j // 2
     width = math.prod(shape[:-1])
-    # ndarray.copy copies even where a transpose is a view (k = 0), so the
-    # stages never write to v
-    w = v.reshape(width, n >> k, 1 << k).transpose(2, 1, 0).copy()
-    t = np.empty(w.size // 2)
-    _butterflies(w, k, range(k), t)
-    w = w.transpose(1, 0, 2).copy()
-    _butterflies(w, j, range(k, j), t)
-    return w.reshape(n, width).T.reshape(shape)
+    w = plan.first
+    np.copyto(w, v.reshape(width, n >> k, 1 << k).transpose(2, 1, 0))
+    _butterflies(w, k, range(k), plan.half)
+    np.copyto(plan.second, w.transpose(1, 0, 2))
+    _butterflies(plan.second, j, range(k, j), plan.half)
+    return plan.second.reshape(n, width).T.reshape(shape)
 
 
 _PERM_CACHE = {}
@@ -229,25 +221,67 @@ def _sequency_perm(j):
     return _PERM_CACHE[j]
 
 
-def fwht_sequency(v):
+class SequencyPlan:
+    """Buffers of the sequency transforms of (..., 2^J) arrays of one shape,
+    and the sequency rows those transforms keep (default all, in order).
+
+    fwht_sequency returns the values at the rows only; ifwht_sequency reads
+    values at the rows, the other coefficients being zero.  The rows are
+    kept folded into Hadamard order (perm[rows], see _sequency_perm), so a
+    plan for some rows gathers and scatters just those values into a grid
+    that stays zero elsewhere; a plan for all rows gathers by the inverse
+    permutation instead.  A plan reused keeps its arrays: what
+    ifwht_sequency returns through it is overwritten by the plan's next
+    transform.
+    """
+
+    def __init__(self, shape, rows=None):
+        self.shape = tuple(shape)
+        perm, inverse = _sequency_perm(_check_length(self.shape))
+        if rows is None:
+            self.rows, self.inverse, self.grid = perm, inverse, None
+        else:
+            # ifwht_sequency's input: zero off the rows, which it alone writes
+            self.rows, self.inverse, self.grid = perm[rows], None, np.zeros(self.shape)
+        n = self.shape[-1]
+        k = (n.bit_length() - 1) // 2
+        width = math.prod(self.shape[:-1])
+        self.first = np.empty((1 << k, n >> k, width))
+        self.second = np.empty((n >> k, 1 << k, width))
+        self.half = np.empty(n * width // 2)
+
+
+def fwht_sequency(v, plan=None):
     """Sequency-ordered Walsh-Hadamard transform with quadrature scaling.
 
     out[n] = 2^(-J) * sum_j v[j] * Wal(n, j / 2^J).  When v holds cell
     averages of a function on the 2^J uniform grid, out[n] is the exact
     integral of that piecewise-constant function against Wal(n, .).
-    Acts along the last axis; leading axes are a batch.
+    Acts along the last axis; leading axes are a batch.  Given a
+    SequencyPlan of v's shape, the transform runs in its buffers and returns
+    out at the plan's rows only.
     """
     v = np.asarray(v, dtype=float)
-    j = _check_length(v)
-    return np.take(_hadamard(v), _sequency_perm(j)[0], axis=-1) / v.shape[-1]
+    if plan is None:
+        plan = SequencyPlan(v.shape)
+    elif v.shape != plan.shape:
+        raise ValueError(f"plan for shape {plan.shape}, got {v.shape}")
+    return np.take(_hadamard(v, plan), plan.rows, axis=-1) / v.shape[-1]
 
 
-def ifwht_sequency(c):
+def ifwht_sequency(c, plan=None):
     """Inverse of fwht_sequency: v[j] = sum_n c[n] * Wal(n, j / 2^J),
-    along the last axis."""
+    along the last axis.  Given a SequencyPlan, c holds the coefficients at
+    the plan's rows (the others are zero) and the result lives in the plan."""
     c = np.asarray(c, dtype=float)
-    j = _check_length(c)
-    return _hadamard(np.take(c, _sequency_perm(j)[1], axis=-1))
+    if plan is None:
+        plan = SequencyPlan(c.shape)
+    elif c.shape != plan.shape[:-1] + plan.rows.shape:
+        raise ValueError(f"plan for {plan.rows.size} rows of shape {plan.shape}, got {c.shape}")
+    if plan.grid is None:
+        return _hadamard(np.take(c, plan.inverse, axis=-1), plan)
+    plan.grid.T[plan.rows] = c.T  # along the last axis, without an Ellipsis index
+    return _hadamard(plan.grid, plan)
 
 
 @dataclass(frozen=True)
@@ -292,7 +326,7 @@ def walsh_shift_identity_check(f_samples, t, s_indices=None, s_scale=None):
     bit conventions are self-consistent.
     """
     f = np.asarray(f_samples, dtype=float)
-    big_j = _check_length(f)
+    big_j = _check_length(f.shape)
     if t < 0:
         raise ValueError("shift t must be a non-negative integer")
     if s_scale is None:

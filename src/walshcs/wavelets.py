@@ -267,12 +267,15 @@ class WaveletBasis:
     def synthesis(self, c, kind="scaling"):
         """Apply the level -> level+1 map of `kind` to coefficients c."""
         c = np.asarray(c, dtype=float).T
-        return _band_apply(c, *self._level_map(c.shape[0], kind), 2).T
+        out = np.empty((2 * c.shape[0],) + c.shape[1:])
+        return _band_apply(c, self._level_map(c.shape[0], kind), 2, out, np.empty(c.shape)).T
 
     def analysis(self, v, kind="scaling"):
         """Transpose of synthesis (level+1 -> level)."""
         v = np.asarray(v, dtype=float).T
-        return _band_transpose(v, *self._level_map(v.shape[0] // 2, kind), 2).T
+        out = np.empty((v.shape[0] // 2,) + v.shape[1:])
+        band = self._level_map(out.shape[0], kind)
+        return _band_transpose(v, band, 2, out, np.empty(out.shape)).T
 
     def _average_map(self, depth):
         """B_depth as (taps, left, right) like _level_map: 2p - 1 interior
@@ -297,16 +300,19 @@ class WaveletBasis:
             self._average_map_cache[depth] = (taps, comb[:, :width], comb[:, n - width :])
         return self._average_map_cache[depth]
 
-    def average(self, v, depth):
+    def average(self, v, depth, work=None):
         """B_depth along the last axis of scale-j grid values v: the scale-j
-        cell averages of the function's grid values depth octaves finer."""
+        cell averages of the function's grid values depth octaves finer.
+        Given a Scratch, the result lives in it."""
         v = np.asarray(v, dtype=float).T
-        return _band_apply(v, *self._average_map(depth), 1).T
+        out, product = _array(work, "average", v.shape), _array(work, "band", v.shape)
+        return _band_apply(v, self._average_map(depth), 1, out, product).T
 
-    def average_adjoint(self, w, depth):
+    def average_adjoint(self, w, depth, work=None):
         """Transpose of average."""
         w = np.asarray(w, dtype=float).T
-        return _band_transpose(w, *self._average_map(depth), 1).T
+        out, product = _array(work, "average_adjoint", w.shape), _array(work, "band", w.shape)
+        return _band_transpose(w, self._average_map(depth), 1, out, product).T
 
     def _edge_wavelets(self, n0):
         """Edge wavelets of the level of size n0, as rows over the 2 * n0
@@ -331,48 +337,77 @@ def _matmul_lead(m, x):
     return (x.T @ m.T).T
 
 
+class Scratch:
+    """Arrays that repeated transforms reuse, one per name.
+
+    array(name, shape) hands out a C-ordered view of the first prod(shape)
+    values of the flat array kept under name, which is replaced by a larger
+    one when more values are asked for.  Whoever passes a Scratch to a
+    transform owns it; an array handed out keeps its values until its name
+    is asked for again.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def array(self, name, shape):
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
+def _array(work, name, shape):
+    """An array of the given shape from the Scratch work, or a fresh one."""
+    return np.empty(shape) if work is None else work.array(name, shape)
+
+
 # A banded map as (taps, left, right) of _level_map or _average_map: n0
 # coefficients go to step * n0 values; interior coefficient s adds
 # taps[i] * c[s] at step * s + i - p + 1, the first p coefficients (the p
 # rows of left) go through the left block and the last p, mirrored, through
-# the right one.  Both directions act on the leading axis; the bodies index
-# it with plain slices, which numpy resolves faster than slices behind an
-# Ellipsis.
+# the right one.  Both directions act on the leading axis and write their
+# result into out, which they return; each product of a tap with the
+# interior goes through `product`, an array of at least n0 - 2p leading
+# rows.  The bodies index the leading axis with plain slices, which numpy
+# resolves faster than slices behind an Ellipsis.
 
 
-def _band_apply(c, taps, left, right, step):
+def _band_apply(c, band, step, out, product):
+    taps, left, right = band
     p = left.shape[0]
     n0 = c.shape[0]
     n1 = step * n0
-    out = np.zeros((n1,) + c.shape[1:])
+    out[...] = 0.0
     out[: left.shape[1]] += _matmul_lead(left.T, c[:p])
     out[n1 - right.shape[1] :] += _matmul_lead(right.T, c[n0 - p :][::-1])
     if n0 > 2 * p:
         mid = c[p : n0 - p]
+        product = product[: n0 - 2 * p]
         for i, tap in enumerate(taps):
             t = i - p + 1
-            out[step * p + t : step * (n0 - p) + t : step] += tap * mid
+            np.multiply(mid, tap, product)
+            out[step * p + t : step * (n0 - p) + t : step] += product
     return out
 
 
-def _band_transpose(v, taps, left, right, step):
+def _band_transpose(v, band, step, out, product):
+    taps, left, right = band
     p = left.shape[0]
     n1 = v.shape[0]
     n0 = n1 // step
-    c = np.zeros((n0,) + v.shape[1:])
-    # the interior goes first, through its own accumulator: accumulating
-    # in place after the edges changed the allocation order enough for
-    # glibc to hand the heap top back to the OS between solver steps
-    # (about 700 extra page faults per step, 15-20% slower solves)
+    out[...] = 0.0
     if n0 > 2 * p:
-        acc = np.zeros((n0 - 2 * p,) + v.shape[1:])
+        interior = out[p : n0 - p]
+        product = product[: n0 - 2 * p]
         for i, tap in enumerate(taps):
             t = i - p + 1
-            acc += tap * v[step * p + t : step * (n0 - p) + t : step]
-        c[p : n0 - p] = acc
-    c[:p] += _matmul_lead(left, v[: left.shape[1]])
-    c[n0 - p :] += _matmul_lead(right, v[n1 - right.shape[1] :])[::-1]
-    return c
+            np.multiply(v[step * p + t : step * (n0 - p) + t : step], tap, product)
+            interior += product
+    out[:p] += _matmul_lead(left, v[: left.shape[1]])
+    out[n0 - p :] += _matmul_lead(right, v[n1 - right.shape[1] :])[::-1]
+    return out
 
 
 _FILTER_CACHE = {}
@@ -462,17 +497,8 @@ class LevelStructure:
     def N_r(self):
         return 1 << (self.J0 + self.r + self.q)
 
-    def coefficient_level_slice(self, k):
-        """Python slice of the k-th coefficient block (1-based k)."""
-        m = self.M
-        return slice(int(m[k - 1]), int(m[k]))
 
-    def sample_level_slice(self, k):
-        n = self.N
-        return slice(int(n[k - 1]), int(n[k]))
-
-
-def dwt_forward(samples, basis, top=None):
+def dwt_forward(samples, basis, top=None, work=None):
     """Full discrete wavelet analysis of cell averages on a dyadic grid.
 
     Returns the 2^top L2([0,1]) coefficients: scaling block at level
@@ -480,6 +506,8 @@ def dwt_forward(samples, basis, top=None):
     levels at or above it are not analysed, which makes this the transpose
     of dwt_inverse of 2^top coefficients).  Exact inverse of dwt_inverse at
     the same scale.  Acts along the last axis; leading axes are a batch.
+    Given a Scratch, the intermediate levels live in it; the coefficients
+    returned are a fresh array either way.
     """
     v = np.asarray(samples, dtype=float)
     n = v.shape[-1] if v.ndim else 0
@@ -490,20 +518,32 @@ def dwt_forward(samples, basis, top=None):
     top = big_q if top is None else top
     if not r0 < top <= big_q:
         raise ValueError("expansion scale must satisfy J0 < top <= Q")
-    c = v * 2.0 ** (-big_q / 2.0)
+    # c in v's memory order, as v * scale would be (numpy's order K): the
+    # band maps' matrix products round by the layout of what they read
+    order = sorted(range(v.ndim), key=lambda axis: -abs(v.strides[axis]))
+    c = _array(work, "dwt_forward", tuple(v.shape[axis] for axis in order))
+    c = np.multiply(v, 2.0 ** (-big_q / 2.0), out=c.transpose(np.argsort(order))).T
+    # the levels in the band maps' layout: even and odd scaling ones, wavelets
+    scalings = [_array(work, f"dwt_forward.{i}", (n // 2,) + c.shape[1:]) for i in range(2)]
+    wavelets = _array(work, "dwt_forward.wavelet", (1 << (top - 1),) + c.shape[1:])
+    product = _array(work, "band", (n // 2,) + c.shape[1:])
     out = np.empty(v.shape[:-1] + (1 << top,))
     for j in range(big_q - 1, r0 - 1, -1):
         if j < top:
-            out[..., 1 << j : 1 << (j + 1)] = basis.analysis(c, "wavelet")
-        c = basis.analysis(c)
-    out[..., : 1 << r0] = c
+            wavelet = wavelets[: 1 << j]
+            _band_transpose(c, basis._level_map(1 << j, "wavelet"), 2, wavelet, product)
+            out[..., 1 << j : 1 << (j + 1)] = wavelet.T
+        scaling = scalings[j % 2][: 1 << j]
+        c = _band_transpose(c, basis._level_map(1 << j, "scaling"), 2, scaling, product)
+    out[..., : 1 << r0] = c.T
     return out
 
 
-def dwt_inverse(coeffs, basis, Q):
+def dwt_inverse(coeffs, basis, Q, work=None):
     """Cell averages at scale Q of the function with the 2^top coefficients
     along the last axis of coeffs, ordered as dwt_forward returns them
-    (J0 < top <= Q; wavelet levels at or above top are treated as zero)."""
+    (J0 < top <= Q; wavelet levels at or above top are treated as zero).
+    Given a Scratch, the intermediate levels and the result live in it."""
     coeffs = np.asarray(coeffs, dtype=float)
     n = coeffs.shape[-1] if coeffs.ndim else 0
     r0 = basis.J0
@@ -512,13 +552,24 @@ def dwt_inverse(coeffs, basis, Q):
         raise ValueError(
             f"need 2^top coefficients with J0 = {r0} < top <= Q = {Q}, got {n}"
         )
-    c = coeffs[..., : 1 << r0].copy()
+    c = _array(work, "dwt_inverse", coeffs.shape[:-1] + (1 << r0,))
+    c[...] = coeffs[..., : 1 << r0]
+    c = c.T
+    # the levels in the band maps' layout: even and odd scaling ones, wavelets
+    scalings = [_array(work, f"dwt_inverse.{i}", (1 << Q,) + c.shape[1:]) for i in range(2)]
+    wavelets = _array(work, "dwt_inverse.wavelet", (1 << top,) + c.shape[1:])
+    product = _array(work, "band", (1 << (Q - 1),) + c.shape[1:])
     for j in range(r0, Q):
-        c2 = basis.synthesis(c)
+        c2 = scalings[j % 2][: 2 << j]
+        _band_apply(c, basis._level_map(1 << j, "scaling"), 2, c2, product)
         if j < top:
-            c2 += basis.synthesis(coeffs[..., 1 << j : 1 << (j + 1)], "wavelet")
+            wavelet = coeffs[..., 1 << j : 1 << (j + 1)].T
+            c2 += _band_apply(
+                wavelet, basis._level_map(1 << j, "wavelet"), 2, wavelets[: 2 << j], product
+            )
         c = c2
-    return c * 2.0 ** (Q / 2.0)
+    c *= 2.0 ** (Q / 2.0)
+    return c.T
 
 
 def cascade_tabulate(basis, j, n, Q, kind="scaling"):

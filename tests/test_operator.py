@@ -10,6 +10,7 @@ from walshcs.operator import (
     CobOperator,
     MeasurementVector,
     SizeGuardError,
+    Workspace,
     write_matrix_csv,
     write_pgm,
 )
@@ -52,14 +53,17 @@ def test_haar_entries_match_closed_form():
 
 
 def test_entry_validation_and_consistency():
+    # single entries u[i, j] read through the row and column readers
     op = db_op(4)
     with pytest.raises(ValueError):
-        op.entry(1 << op.Q, 0)
+        op.rows_dense(np.array([1 << op.Q]), 1)
     with pytest.raises(ValueError):
-        op.entry(0, op.levels.M_r)
+        op.column(op.levels.M_r, 1)
     x = np.zeros(op.levels.M_r)
     x[37] = 1.0
-    assert abs(op.apply(x, np.array([555]))[0] - op.entry(555, 37)) < 1e-12
+    entry = op.rows_dense(np.array([555]), 38)[0, 37]
+    assert abs(op.apply(x, np.array([555]))[0] - entry) < 1e-12
+    assert abs(op.column(37, 556)[555] - entry) < 1e-12
 
 
 def test_zero_maps_to_zero():
@@ -106,6 +110,46 @@ def test_adjoint_identity(p, batch):
         padded = np.zeros(xs.shape)
         padded[..., :n] = xs[..., :n]
         assert np.array_equal(op.synthesize(xs[..., :n]), op.synthesize(padded))
+
+
+@pytest.mark.parametrize("p", [1, 3, 4, 8])
+def test_workspace_products_equal_fresh_ones(p):
+    # a Workspace changes where the products' arrays live, never a bit of
+    # what they return: 1-D vectors and batches of 1-4 (the row batches of
+    # rows_dense at Q = 15), at a working scale below Q and at Q
+    op = haar_op(r=5) if p == 1 else db_op(p)
+    rng = np.random.default_rng(10 + p)
+    m_r = op.levels.M_r
+    for band in (1 << (op.Q - 3), op.n_grid):
+        omega = rng.choice(band, 24, replace=False)
+        for L in (m_r, m_r // 2 + 3):
+            work = Workspace(op, omega, L)
+            assert (work.m < op.Q) == (band < op.n_grid)
+            for batch in ((), (1,), (2,), (3,), (4,)):
+                x = rng.standard_normal((*batch, L))
+                y = rng.standard_normal((*batch, omega.size))
+                fwd = op.apply(x, omega, work=work)
+                adj = op.apply_adjoint(y, omega, work=work)
+                assert np.array_equal(fwd, op.apply(x, omega))
+                assert np.array_equal(adj, op.apply_adjoint(y, omega, L=L))
+                # a second call with other inputs leaves a first result as it was
+                kept = fwd.copy(), adj.copy()
+                op.apply(rng.standard_normal(x.shape), omega, work=work)
+                op.apply_adjoint(rng.standard_normal(y.shape), omega, work=work)
+                assert np.array_equal(fwd, kept[0]) and np.array_equal(adj, kept[1])
+    # unit rows as rows_dense reads them, through one workspace per batch
+    rows = rng.choice(op.n_grid, 4, replace=False)
+    for k in range(1, 5):
+        work = Workspace(op, rows[:k], m_r)
+        assert np.array_equal(
+            op.apply_adjoint(np.eye(k), rows[:k], work=work), op.rows_dense(rows[:k], m_r)
+        )
+    # coefficients that end at another scale than the workspace's L, or
+    # values at another number of indices, raise
+    with pytest.raises(ValueError):
+        op.apply(np.ones(m_r // 4), omega, work=work)
+    with pytest.raises(ValueError):
+        op.apply_adjoint(np.ones(omega.size + 1), omega, work=work)
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,7 +273,7 @@ def test_rows_match_columns(picks, per_batch):
     op = db_op(3)
     rows = op.rows_dense(np.array([3, 17, 40]), 32)
     for a, i in enumerate((3, 17, 40)):
-        col_vals = np.array([op.entry(i, j) for j in range(32)])
+        col_vals = op.column(np.arange(32), i + 1)[:, i]
         assert np.max(np.abs(rows[a] - col_vals)) < 1e-12
     # batched rows (batches of per_batch rows) against the row-by-row adjoint
     picks = np.array(picks)
@@ -244,7 +288,7 @@ def test_rows_match_columns(picks, per_batch):
 
 
 def test_dc_row_matches_refined_quadrature():
-    # entry(0, j) is the integral of basis function j; cross-check against
+    # u[0, j] is the integral of basis function j; cross-check against
     # quadrature of a four-octaves-finer tabulation, which agrees at the
     # O(2^-Q) rate the boundary cells allow
     from walshcs.wavelets import cascade_tabulate
@@ -254,9 +298,9 @@ def test_dc_row_matches_refined_quadrature():
         basis = op.basis
         for n in (0, 3, 5, 7):
             oracle = cascade_tabulate(basis, 3, n, q + 4).sum() / (1 << (q + 4))
-            assert abs(op.entry(0, n) - oracle) < 8.0 * 2.0**-q
+            assert abs(op.column(n, 1)[0] - oracle) < 8.0 * 2.0**-q
         wave = cascade_tabulate(basis, 3, 4, q + 4, kind="wavelet")
-        assert abs(op.entry(0, 8 + 4) - wave.sum() / (1 << (q + 4))) < 8.0 * 2.0**-q
+        assert abs(op.column(8 + 4, 1)[0] - wave.sum() / (1 << (q + 4))) < 8.0 * 2.0**-q
 
 
 def test_entry_refinement_convergence():
@@ -268,7 +312,7 @@ def test_entry_refinement_convergence():
     for q in (9, 11):
         op_a = CobOperator(basis, lv, Q=q)
         op_b = CobOperator(basis, lv, Q=q + 2)
-        devs[q] = max(abs(op_a.entry(i, j) - op_b.entry(i, j)) for i, j in entries)
+        devs[q] = max(abs(op_a.column(j, i + 1)[i] - op_b.column(j, i + 1)[i]) for i, j in entries)
     assert devs[9] <= 64.0 * 2.0**-9
     assert devs[11] <= 64.0 * 2.0**-11
 
@@ -285,9 +329,7 @@ def test_no_sharpening_with_order():
         total = float((s**2).sum())
         diag = 0.0
         for k in range(1, lv.r + 1):
-            rows = lv.sample_level_slice(k)
-            cols = lv.coefficient_level_slice(k)
-            diag += float((s[rows, cols.start : cols.stop] ** 2).sum())
+            diag += float((s[lv.N[k - 1] : lv.N[k], lv.M[k - 1] : lv.M[k]] ** 2).sum())
         fractions[p] = 1.0 - diag / total
     assert fractions[8] >= 0.1
     assert fractions[8] >= 0.2 * fractions[3]

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from walshcs import reconstruct
-from walshcs.operator import CobOperator, MeasurementVector
+from walshcs.operator import CobOperator, MeasurementVector, Workspace
 from walshcs.reconstruct import (
     ReconstructionConfig,
     measure_signal,
@@ -10,6 +12,7 @@ from walshcs.reconstruct import (
     solve_bpdn,
     truncated_walsh,
 )
+from walshcs.sampling import SparsityProfile, allocate_budget, draw_scheme
 from walshcs.signals import signal_jump, signal_smooth
 from walshcs.walsh import DyadicPoint, fwht_sequency, ifwht_sequency, wal_eval
 from walshcs.wavelets import LevelStructure, build_basis
@@ -57,7 +60,7 @@ def test_objective_matches_convex_oracle():
         delta = 0.25
         noise = rng.standard_normal(16)
         g_vals = op.apply(x0, omega) + noise * (0.5 * delta / np.linalg.norm(noise))
-        a = np.array([[op.entry(i, j) for j in range(32)] for i in omega])
+        a = op.rows_dense(omega, 32)
         xi = cvxpy.Variable(32)
         prob = cvxpy.Problem(
             cvxpy.Minimize(cvxpy.norm1(xi)), [cvxpy.norm2(a @ xi - g_vals) <= delta]
@@ -143,15 +146,17 @@ def test_sampled_section_matches_operator():
         omega = rng.choice(64, size, replace=False)
         a = op.rows_dense(omega, L)
         assert a.shape == (size, L)
+        work = Workspace(op, omega, L, dense=True)
+        assert np.array_equal(work.section, a)
         for _ in range(3):
             x = rng.standard_normal(L)
             y = rng.standard_normal(size)
             ref = op.apply(x, omega)
             assert np.max(np.abs(a @ x - ref)) <= 3e-15 * max(1.0, np.max(np.abs(ref)))
-            assert np.array_equal(op.apply(x, omega, section=a), x @ a.T)
+            assert np.array_equal(op.apply(x, omega, work=work), x @ a.T)
             ref = op.apply_adjoint(y, omega, L=L)
             assert np.max(np.abs(y @ a - ref)) <= 3e-15 * max(1.0, np.max(np.abs(ref)))
-            assert np.array_equal(op.apply_adjoint(y, omega, L=L, section=a), y @ a)
+            assert np.array_equal(op.apply_adjoint(y, omega, work=work), y @ a)
     # a truncated section is the leading columns of the full one
     omega = rng.choice(64, 9, replace=False)
     full = op.rows_dense(omega, L)
@@ -246,6 +251,33 @@ def test_one_forward_and_one_adjoint_product_per_iteration(dense, monkeypatch):
     build = len(op.batches(omega.size)) if dense else 0
     assert build == (2 if dense else 0)
     assert calls == {"apply": res.iterations, "apply_adjoint": res.iterations + build}
+
+
+@pytest.mark.parametrize(
+    "q, budget, digest",
+    [(8, 512, "6712904d2afa3f86"), (3, 256, "22714011cacf7911")],
+    ids=["wideband", "criterion-8"],
+)
+def test_matrix_free_solve_is_pinned(q, budget, digest, monkeypatch):
+    # 60 matrix-free iterations at the shapes of the wideband benchmark and
+    # of criterion 8 (p = 4, J0 = 3, L = 2^12, Q = 15, signal g, scheme seed
+    # 0); the digests are those of the allocating transforms, which the
+    # solver's workspace reproduces bit for bit
+    monkeypatch.setattr(reconstruct, "DENSE_SECTION_ELEMENTS", 0)
+    op = CobOperator(build_basis(4, 3), LevelStructure(J0=3, r=9))
+    levels = LevelStructure(J0=3, r=4, q=q)
+    sparsity = tuple(
+        min(16 >> (k - 1) if k > 1 else 8, int(d))
+        for k, d in enumerate(np.diff(levels.N), start=1)
+    )
+    m = allocate_budget(
+        SparsityProfile(sparsity), levels, budget, policy="uniform", full_first=True
+    )
+    scheme = draw_scheme(levels, m, 0)
+    g = measure_signal(signal_jump(op.Q), scheme)
+    res = solve_bpdn(op, scheme, g, ReconstructionConfig(L=1 << 12, max_iter=60))
+    assert not res.dense_section and res.iterations == 60
+    assert hashlib.sha256(res.coeffs.tobytes()).hexdigest()[:16] == digest
 
 
 def test_truncated_walsh_exact_for_finite_series():

@@ -9,6 +9,7 @@ from walshcs.walsh import (
     PALEY,
     DyadicPoint,
     SequencyIndex,
+    SequencyPlan,
     WalshPolynomial,
     _hadamard,
     _sequency_perm,
@@ -74,9 +75,6 @@ def test_dyadic_point_validation():
         DyadicPoint(4, 2)
     with pytest.raises(ValueError):
         DyadicPoint(-1, 2)
-    assert DyadicPoint.from_float(0.375, 3).numerator == 3
-    with pytest.raises(ValueError):
-        DyadicPoint.from_float(1.0 / 3.0, 10)
 
 
 def test_constant_and_zero_arguments():
@@ -216,7 +214,7 @@ def test_fwht_matches_naive_oracle(batch):
         n = 1 << scale
         perm, inverse = _sequency_perm(scale)
         references = {
-            _hadamard: lambda v: reference_hadamard_inplace(v.copy()),
+            lambda v: _hadamard(v, SequencyPlan(v.shape)): lambda v: reference_hadamard_inplace(v.copy()),
             fwht_sequency: lambda v: np.take(reference_hadamard_inplace(v.copy()), perm, axis=-1) / n,
             ifwht_sequency: lambda c: reference_hadamard_inplace(np.take(c, inverse, axis=-1)),
         }
@@ -240,6 +238,32 @@ def test_fwht_matches_naive_oracle(batch):
         for transform in (fwht_sequency, ifwht_sequency):
             one_by_one = np.reshape([transform(row) for row in rows], stack.shape)
             assert np.array_equal(transform(stack), one_by_one)
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (3,), (2, 2)])
+def test_plan_rows_match_the_full_transforms(batch):
+    # a plan for some rows returns, and reads, exactly those values of the
+    # full transforms; reusing it leaves a first result unchanged
+    rng = np.random.default_rng(5)
+    for scale in (0, 1, 6, 11):
+        n = 1 << scale
+        rows = rng.choice(n, max(1, n // 3), replace=False)
+        plan = SequencyPlan((*batch, n), rows)
+        x = rng.standard_normal((*batch, n))
+        c = rng.standard_normal((*batch, rows.size))
+        full = np.zeros((*batch, n))
+        full[..., rows] = c
+        first_fwht = fwht_sequency(x, plan)
+        assert np.array_equal(first_fwht, fwht_sequency(x)[..., rows])
+        first_ifwht = ifwht_sequency(c, plan).copy()
+        assert np.array_equal(first_ifwht, ifwht_sequency(full))
+        fwht_sequency(rng.standard_normal(x.shape), plan)
+        assert np.array_equal(ifwht_sequency(c, plan), first_ifwht)
+        assert np.array_equal(first_fwht, fwht_sequency(x)[..., rows])
+        with pytest.raises(ValueError):
+            fwht_sequency(np.zeros((*batch, 2 * n)), plan)
+        with pytest.raises(ValueError):
+            ifwht_sequency(np.zeros((*batch, rows.size + 1)), plan)
 
 
 def test_sequency_perm_matches_scalar_bit_reverse():
