@@ -39,7 +39,6 @@ from .signals import make_signal, signal_jump, signal_smooth
 from .walsh import (
     DyadicPoint,
     SequencyIndex,
-    SequencyPlan,
     WalshPolynomial,
     fwht_sequency,
     ifwht_sequency,
@@ -50,7 +49,6 @@ from .walsh import (
 )
 from .wavelets import (
     LevelStructure,
-    Scratch,
     WaveletBasis,
     build_basis,
     cascade_tabulate,

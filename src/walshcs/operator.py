@@ -23,16 +23,18 @@ identity and is not applied, and the full-grid operations run unchanged.
 
 Workspace: a caller that takes many products at one index set (the solver
 takes two per iteration) builds one Workspace and passes it to apply and
-apply_adjoint.  It checks omega once, fixes m and keeps every 2^m-sized
-array the transforms need, so the products allocate nothing of grid size;
-omega is folded into the Hadamard order of the sequency transform, so apply
-gathers |omega| values and apply_adjoint scatters them onto a grid that
-stays zero elsewhere.  Whoever builds a Workspace owns it; CobOperator keeps
-no state.  A product with a Workspace runs the same floating-point
-operations in the same order as one without (which builds a fresh
-Workspace for the call), so the two are equal bit for bit, and no array
-returned is one the Workspace holds.  On the dense route a Workspace holds
-the formed section instead, and every product is one matrix product.
+apply_adjoint, with the omega (and L) it was built for; another omega or
+L raises.  It checks omega once, fixes m and keeps every 2^m-sized array
+the transforms need in a walsh.Scratch, so the products allocate nothing
+of grid size; the Scratch holds omega folded into the Hadamard order of
+the sequency transform, so apply gathers |omega| values and apply_adjoint
+scatters them onto a zeroed grid.  Whoever builds a Workspace owns it;
+CobOperator keeps no state.  A product with a Workspace runs the same
+floating-point operations in the same order as one without (which builds
+a fresh Workspace for the call), so the two are equal bit for bit, and no
+array returned is one the Workspace holds.  On the dense route a Workspace
+holds the formed section instead, and every product is one matrix
+product.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walsh import SequencyPlan, fwht_sequency, ifwht_sequency
-from .wavelets import Scratch, dwt_forward, dwt_inverse
+from .walsh import Scratch, fwht_sequency, ifwht_sequency
+from .wavelets import dwt_forward, dwt_inverse
 
 SECTION_GUARD = 1 << 12
 # grid values one batched transform call holds (1 MB); see CobOperator.batches.
@@ -135,6 +137,8 @@ class CobOperator:
         for this omega and coefficient count, or None for a fresh one."""
         if work is None:
             work = Workspace(self, omega, max(np.shape(coeffs)[-1], 1))
+        else:
+            work.check(omega)
         if work.section is not None:
             return coeffs @ work.section.T
         full = self._padded(coeffs, work.scratch)
@@ -143,7 +147,7 @@ class CobOperator:
         grid = dwt_inverse(full, self.basis, work.m, work.scratch)
         if work.m < self.Q:
             grid = self.basis.average(grid, self.Q - work.m, work.scratch)
-        return fwht_sequency(grid, work.plan(grid.shape[:-1]))
+        return fwht_sequency(grid, work.scratch)
 
     def apply_adjoint(self, values, omega, L=None, work=None):
         """Exact transpose of apply, truncated to the first L coefficients
@@ -153,12 +157,14 @@ class CobOperator:
         for this omega and L, or None for a fresh one."""
         if work is None:
             work = Workspace(self, omega, L)
+        else:
+            work.check(omega, L)
         if work.section is not None:
             return values @ work.section
         values = np.asarray(values, dtype=float)
         if values.shape[-1:] != work.omega.shape:
             raise ValueError("values and omega must have matching shapes")
-        grid = ifwht_sequency(values, work.plan(values.shape[:-1]))
+        grid = ifwht_sequency(values, work.scratch)
         if work.m < self.Q:
             grid = self.basis.average_adjoint(grid, self.Q - work.m, work.scratch)
         return dwt_forward(grid, self.basis, top=work.top, work=work.scratch)[..., : work.L]
@@ -232,8 +238,8 @@ class Workspace:
     module docstring): omega, checked once, and the coefficient count L
     (default M_r); with dense=True the section P_omega U P_L formed by
     rows_dense, otherwise the scale top of the first L coefficients, the
-    working scale m, a Scratch for the wavelet transforms and, per batch
-    shape, a SequencyPlan at omega."""
+    working scale m and a walsh.Scratch for the transforms, whose sequency
+    rows are omega at 2^m."""
 
     def __init__(self, op, omega, L=None, dense=False):
         self.omega = op._check_omega(omega)
@@ -243,14 +249,14 @@ class Workspace:
         self.section = op.rows_dense(self.omega, self.L) if dense else None
         self.top = op._top(self.L)
         self.m = max(self.top, int(self.omega.max(initial=0)).bit_length())
-        self.scratch = Scratch()
-        self._plans = {}
+        self.scratch = Scratch(self.omega, self.m)
 
-    def plan(self, batch):
-        """The SequencyPlan of (*batch, 2^m) grids at omega."""
-        if batch not in self._plans:
-            self._plans[batch] = SequencyPlan(batch + (1 << self.m,), self.omega)
-        return self._plans[batch]
+    def check(self, omega, L=None):
+        """Raise unless omega, and L if given, are this Workspace's; its own
+        omega (the solver's) passes by identity, without a compare."""
+        same = omega is self.omega or np.array_equal(omega, self.omega)
+        if not same or L not in (None, self.L):
+            raise ValueError("omega or L differs from the workspace's")
 
 
 def write_matrix_csv(matrix, path):

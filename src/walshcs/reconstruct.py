@@ -35,9 +35,9 @@ from .walsh import fwht_sequency, ifwht_sequency
 # (float64 values, 8 MB).  The bound is set by memory and build time, not by
 # speed: the section and its build batches add to the solve's peak memory
 # (64 x 4096, 2 MB: +2.1 MB on a 47 MB process).  At 256 x 4096 the 8 MB
-# section takes 0.1 s to build and a 1200-iteration solve 1.1-1.4 s
+# section takes 0.1-0.2 s to build and a 1200-iteration solve 1.1-1.5 s
 # against 1.4-2.6 s matrix-free; at 512 x 4096 the 16 MB section would take
-# 0.5-0.7 s to build and grow the peak by a third, although its products
+# 0.5-0.9 s to build and grow the peak by a third, although its products
 # still beat the matrix-free ones (with their workspace) by about 1.7x.
 DENSE_SECTION_ELEMENTS = 1 << 20
 

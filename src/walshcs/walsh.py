@@ -177,10 +177,43 @@ def _butterflies(w, bits, stages, t):
         b[...] = d
 
 
-def _hadamard(v, plan):
+class Scratch:
+    """Arrays that repeated transforms reuse, one per name, and the sequency
+    rows that the sequency transforms keep.
+
+    array(name, shape) hands out a C-ordered view of the first prod(shape)
+    values of the flat array kept under name, grown when more are asked
+    for; it keeps its values, and so does a transform result that lives in
+    it, until its name is asked for again.  Given rows, sequency indices
+    below 2^J kept folded into Hadamard order (perm[rows], see
+    _sequency_perm), fwht_sequency of a (..., 2^J) array returns only its
+    values at those rows, and ifwht_sequency reads (..., |rows|)
+    coefficients at them, the others being zero (of a repeated row it keeps
+    one value).  Whoever passes a Scratch to a transform owns it.
+    """
+
+    def __init__(self, rows=None, J=None):
+        self._flat = {}
+        self.J, self.rows = J, None
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+            if J is None or rows.ndim != 1:
+                raise ValueError("sequency rows are a 1-D index set at a length 2^J")
+            if rows.size and (rows.min() < 0 or rows.max() >> J):
+                raise ValueError(f"sequency rows must lie in [0, 2^{J})")
+            self.rows = _sequency_perm(J)[rows]
+
+    def array(self, name, shape):
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
+def _hadamard(v, work):
     """Sylvester (natural) order Hadamard transform along the last axis of v,
-    in the buffers of plan (a SequencyPlan of v's shape), O(N log N); v is
-    read, never written.
+    in the arrays of the Scratch work, O(N log N); v is read, never written.
 
     Stage s = 0 .. J-1 adds and subtracts the values 2^s apart, with the same
     two operations per element in any memory layout, so the layout changes
@@ -190,98 +223,79 @@ def _hadamard(v, plan):
     add runs of 2^(J-k) * batch values or more.  A second copy restores index
     order (transform axis first) for the other J - k stages, which add runs
     of 2^k * batch or more.  One half-size buffer serves every stage.  The
-    result is a view of the plan's second buffer.
+    result is a view of the array "hadamard.second".
     """
     shape, n = v.shape, v.shape[-1]
     j = n.bit_length() - 1
     k = j // 2
     width = math.prod(shape[:-1])
-    w = plan.first
+    half = work.array("hadamard.half", (n * width // 2,))
+    w = work.array("hadamard.first", (1 << k, n >> k, width))
     np.copyto(w, v.reshape(width, n >> k, 1 << k).transpose(2, 1, 0))
-    _butterflies(w, k, range(k), plan.half)
-    np.copyto(plan.second, w.transpose(1, 0, 2))
-    _butterflies(plan.second, j, range(k, j), plan.half)
-    return plan.second.reshape(n, width).T.reshape(shape)
+    _butterflies(w, k, range(k), half)
+    second = work.array("hadamard.second", (n >> k, 1 << k, width))
+    np.copyto(second, w.transpose(1, 0, 2))
+    _butterflies(second, j, range(k, j), half)
+    return second.reshape(n, width).T.reshape(shape)
 
 
 _PERM_CACHE = {}
 
 
 def _sequency_perm(j):
-    # out[n] = hadamard[perm[n]] realizes the Kaczmarz row ordering; returns
-    # perm and its inverse
+    # out[n] = hadamard[perm[n]] realizes the Kaczmarz row ordering
     if j not in _PERM_CACHE:
         g = gray(np.arange(1 << j, dtype=np.int64))
         perm = np.zeros_like(g)
         for b in range(j):  # bit_reverse(g, j), all indices at once
             perm |= ((g >> b) & 1) << (j - 1 - b)
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(1 << j)
-        _PERM_CACHE[j] = perm, inverse
+        _PERM_CACHE[j] = perm
     return _PERM_CACHE[j]
 
 
-class SequencyPlan:
-    """Buffers of the sequency transforms of (..., 2^J) arrays of one shape,
-    and the sequency rows those transforms keep (default all, in order).
-
-    fwht_sequency returns the values at the rows only; ifwht_sequency reads
-    values at the rows, the other coefficients being zero.  The rows are
-    kept folded into Hadamard order (perm[rows], see _sequency_perm), so a
-    plan for some rows gathers and scatters just those values into a grid
-    that stays zero elsewhere; a plan for all rows gathers by the inverse
-    permutation instead.  A plan reused keeps its arrays: what
-    ifwht_sequency returns through it is overwritten by the plan's next
-    transform.
-    """
-
-    def __init__(self, shape, rows=None):
-        self.shape = tuple(shape)
-        perm, inverse = _sequency_perm(_check_length(self.shape))
-        if rows is None:
-            self.rows, self.inverse, self.grid = perm, inverse, None
-        else:
-            # ifwht_sequency's input: zero off the rows, which it alone writes
-            self.rows, self.inverse, self.grid = perm[rows], None, np.zeros(self.shape)
-        n = self.shape[-1]
-        k = (n.bit_length() - 1) // 2
-        width = math.prod(self.shape[:-1])
-        self.first = np.empty((1 << k, n >> k, width))
-        self.second = np.empty((n >> k, 1 << k, width))
-        self.half = np.empty(n * width // 2)
+def _hadamard_rows(j, work):
+    """Where the Hadamard transform of length 2^j holds the sequency rows of
+    the Scratch work: all of them, in order, when work has none."""
+    if work.rows is None:
+        return _sequency_perm(j)
+    if j != work.J:
+        raise ValueError(f"sequency rows at length 2^{work.J}, transform length 2^{j}")
+    return work.rows
 
 
-def fwht_sequency(v, plan=None):
+def fwht_sequency(v, work=None):
     """Sequency-ordered Walsh-Hadamard transform with quadrature scaling.
 
     out[n] = 2^(-J) * sum_j v[j] * Wal(n, j / 2^J).  When v holds cell
     averages of a function on the 2^J uniform grid, out[n] is the exact
     integral of that piecewise-constant function against Wal(n, .).
-    Acts along the last axis; leading axes are a batch.  Given a
-    SequencyPlan of v's shape, the transform runs in its buffers and returns
-    out at the plan's rows only.
+    Acts along the last axis; leading axes are a batch.  Given a Scratch,
+    the transform runs in its arrays and returns out at its rows (if it has
+    any) only; the result is a fresh array either way.
     """
     v = np.asarray(v, dtype=float)
-    if plan is None:
-        plan = SequencyPlan(v.shape)
-    elif v.shape != plan.shape:
-        raise ValueError(f"plan for shape {plan.shape}, got {v.shape}")
-    return np.take(_hadamard(v, plan), plan.rows, axis=-1) / v.shape[-1]
+    j = _check_length(v.shape)
+    work = Scratch() if work is None else work
+    return np.take(_hadamard(v, work), _hadamard_rows(j, work), axis=-1) / v.shape[-1]
 
 
-def ifwht_sequency(c, plan=None):
+def ifwht_sequency(c, work=None):
     """Inverse of fwht_sequency: v[j] = sum_n c[n] * Wal(n, j / 2^J),
-    along the last axis.  Given a SequencyPlan, c holds the coefficients at
-    the plan's rows (the others are zero) and the result lives in the plan."""
+    along the last axis.  Given a Scratch with rows, c holds the
+    coefficients at its rows (the others are zero) and J is the Scratch's;
+    given any Scratch, the result lives in it."""
     c = np.asarray(c, dtype=float)
-    if plan is None:
-        plan = SequencyPlan(c.shape)
-    elif c.shape != plan.shape[:-1] + plan.rows.shape:
-        raise ValueError(f"plan for {plan.rows.size} rows of shape {plan.shape}, got {c.shape}")
-    if plan.grid is None:
-        return _hadamard(np.take(c, plan.inverse, axis=-1), plan)
-    plan.grid.T[plan.rows] = c.T  # along the last axis, without an Ellipsis index
-    return _hadamard(plan.grid, plan)
+    work = Scratch() if work is None else work
+    if work.rows is None:
+        j = _check_length(c.shape)
+    elif c.shape[-1:] == work.rows.shape:
+        j = work.J
+    else:
+        raise ValueError(f"coefficients at {work.rows.size} rows, got shape {c.shape}")
+    grid = work.array("sequency.grid", c.shape[:-1] + (1 << j,))
+    grid[...] = 0.0
+    grid.T[_hadamard_rows(j, work)] = c.T  # along the last axis, without an Ellipsis index
+    return _hadamard(grid, work)
 
 
 @dataclass(frozen=True)

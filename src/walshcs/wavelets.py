@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .walsh import Scratch
+
 _SUPPORTED_ORDERS = (1, 3, 4, 5, 6, 7, 8, 9, 10)
 
 
@@ -305,13 +307,15 @@ class WaveletBasis:
         cell averages of the function's grid values depth octaves finer.
         Given a Scratch, the result lives in it."""
         v = np.asarray(v, dtype=float).T
-        out, product = _array(work, "average", v.shape), _array(work, "band", v.shape)
+        work = Scratch() if work is None else work
+        out, product = work.array("average", v.shape), work.array("band", v.shape)
         return _band_apply(v, self._average_map(depth), 1, out, product).T
 
     def average_adjoint(self, w, depth, work=None):
         """Transpose of average."""
         w = np.asarray(w, dtype=float).T
-        out, product = _array(work, "average_adjoint", w.shape), _array(work, "band", w.shape)
+        work = Scratch() if work is None else work
+        out, product = work.array("average_adjoint", w.shape), work.array("band", w.shape)
         return _band_transpose(w, self._average_map(depth), 1, out, product).T
 
     def _edge_wavelets(self, n0):
@@ -335,32 +339,6 @@ class WaveletBasis:
 def _matmul_lead(m, x):
     """m @ x contracting the leading axis of x, whatever axes follow it."""
     return (x.T @ m.T).T
-
-
-class Scratch:
-    """Arrays that repeated transforms reuse, one per name.
-
-    array(name, shape) hands out a C-ordered view of the first prod(shape)
-    values of the flat array kept under name, which is replaced by a larger
-    one when more values are asked for.  Whoever passes a Scratch to a
-    transform owns it; an array handed out keeps its values until its name
-    is asked for again.
-    """
-
-    def __init__(self):
-        self._flat = {}
-
-    def array(self, name, shape):
-        size = math.prod(shape)
-        flat = self._flat.get(name)
-        if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size)
-        return flat[:size].reshape(shape)
-
-
-def _array(work, name, shape):
-    """An array of the given shape from the Scratch work, or a fresh one."""
-    return np.empty(shape) if work is None else work.array(name, shape)
 
 
 # A banded map as (taps, left, right) of _level_map or _average_map: n0
@@ -518,15 +496,16 @@ def dwt_forward(samples, basis, top=None, work=None):
     top = big_q if top is None else top
     if not r0 < top <= big_q:
         raise ValueError("expansion scale must satisfy J0 < top <= Q")
+    work = Scratch() if work is None else work
     # c in v's memory order, as v * scale would be (numpy's order K): the
     # band maps' matrix products round by the layout of what they read
     order = sorted(range(v.ndim), key=lambda axis: -abs(v.strides[axis]))
-    c = _array(work, "dwt_forward", tuple(v.shape[axis] for axis in order))
+    c = work.array("dwt_forward", tuple(v.shape[axis] for axis in order))
     c = np.multiply(v, 2.0 ** (-big_q / 2.0), out=c.transpose(np.argsort(order))).T
     # the levels in the band maps' layout: even and odd scaling ones, wavelets
-    scalings = [_array(work, f"dwt_forward.{i}", (n // 2,) + c.shape[1:]) for i in range(2)]
-    wavelets = _array(work, "dwt_forward.wavelet", (1 << (top - 1),) + c.shape[1:])
-    product = _array(work, "band", (n // 2,) + c.shape[1:])
+    scalings = [work.array(f"dwt_forward.{i}", (n // 2,) + c.shape[1:]) for i in range(2)]
+    wavelets = work.array("dwt_forward.wavelet", (1 << (top - 1),) + c.shape[1:])
+    product = work.array("band", (n // 2,) + c.shape[1:])
     out = np.empty(v.shape[:-1] + (1 << top,))
     for j in range(big_q - 1, r0 - 1, -1):
         if j < top:
@@ -552,13 +531,14 @@ def dwt_inverse(coeffs, basis, Q, work=None):
         raise ValueError(
             f"need 2^top coefficients with J0 = {r0} < top <= Q = {Q}, got {n}"
         )
-    c = _array(work, "dwt_inverse", coeffs.shape[:-1] + (1 << r0,))
+    work = Scratch() if work is None else work
+    c = work.array("dwt_inverse", coeffs.shape[:-1] + (1 << r0,))
     c[...] = coeffs[..., : 1 << r0]
     c = c.T
     # the levels in the band maps' layout: even and odd scaling ones, wavelets
-    scalings = [_array(work, f"dwt_inverse.{i}", (1 << Q,) + c.shape[1:]) for i in range(2)]
-    wavelets = _array(work, "dwt_inverse.wavelet", (1 << top,) + c.shape[1:])
-    product = _array(work, "band", (1 << (Q - 1),) + c.shape[1:])
+    scalings = [work.array(f"dwt_inverse.{i}", (1 << Q,) + c.shape[1:]) for i in range(2)]
+    wavelets = work.array("dwt_inverse.wavelet", (1 << top,) + c.shape[1:])
+    product = work.array("band", (1 << (Q - 1),) + c.shape[1:])
     for j in range(r0, Q):
         c2 = scalings[j % 2][: 2 << j]
         _band_apply(c, basis._level_map(1 << j, "scaling"), 2, c2, product)

@@ -144,12 +144,21 @@ def test_workspace_products_equal_fresh_ones(p):
         assert np.array_equal(
             op.apply_adjoint(np.eye(k), rows[:k], work=work), op.rows_dense(rows[:k], m_r)
         )
-    # coefficients that end at another scale than the workspace's L, or
-    # values at another number of indices, raise
+    # coefficients that end at another scale than the workspace's L, values
+    # at another number of indices, or an omega or L other than the
+    # workspace's, raise
+    work = Workspace(op, omega, m_r)
     with pytest.raises(ValueError):
         op.apply(np.ones(m_r // 4), omega, work=work)
     with pytest.raises(ValueError):
         op.apply_adjoint(np.ones(omega.size + 1), omega, work=work)
+    with pytest.raises(ValueError):
+        op.apply(np.ones(m_r), omega[::-1], work=work)
+    with pytest.raises(ValueError):
+        op.apply_adjoint(np.ones(omega.size), omega[1:], work=work)
+    with pytest.raises(ValueError):
+        op.apply_adjoint(np.ones(omega.size), omega, L=m_r // 2, work=work)
+    assert op.apply_adjoint(np.ones(omega.size), omega, L=m_r, work=work).shape == (m_r,)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,7 +9,7 @@ from walshcs.walsh import (
     PALEY,
     DyadicPoint,
     SequencyIndex,
-    SequencyPlan,
+    Scratch,
     WalshPolynomial,
     _hadamard,
     _sequency_perm,
@@ -212,9 +212,10 @@ def test_fwht_matches_naive_oracle(batch):
         assert np.max(np.abs(ifwht_sequency(fwht_sequency(v)) - v)) < 1e-12
     for scale in range(17):
         n = 1 << scale
-        perm, inverse = _sequency_perm(scale)
+        perm = _sequency_perm(scale)
+        inverse = np.argsort(perm)
         references = {
-            lambda v: _hadamard(v, SequencyPlan(v.shape)): lambda v: reference_hadamard_inplace(v.copy()),
+            lambda v: _hadamard(v, Scratch()): lambda v: reference_hadamard_inplace(v.copy()),
             fwht_sequency: lambda v: np.take(reference_hadamard_inplace(v.copy()), perm, axis=-1) / n,
             ifwht_sequency: lambda c: reference_hadamard_inplace(np.take(c, inverse, axis=-1)),
         }
@@ -241,37 +242,43 @@ def test_fwht_matches_naive_oracle(batch):
 
 
 @pytest.mark.parametrize("batch", [(), (1,), (3,), (2, 2)])
-def test_plan_rows_match_the_full_transforms(batch):
-    # a plan for some rows returns, and reads, exactly those values of the
-    # full transforms; reusing it leaves a first result unchanged
+def test_scratch_rows_match_the_full_transforms(batch):
+    # a Scratch with sequency rows makes the transforms return, and read,
+    # exactly those values of the full transforms; reusing it, also for
+    # another batch shape, leaves a first result unchanged
     rng = np.random.default_rng(5)
     for scale in (0, 1, 6, 11):
         n = 1 << scale
         rows = rng.choice(n, max(1, n // 3), replace=False)
-        plan = SequencyPlan((*batch, n), rows)
+        work = Scratch(rows, scale)
         x = rng.standard_normal((*batch, n))
         c = rng.standard_normal((*batch, rows.size))
         full = np.zeros((*batch, n))
         full[..., rows] = c
-        first_fwht = fwht_sequency(x, plan)
+        first_fwht = fwht_sequency(x, work)
         assert np.array_equal(first_fwht, fwht_sequency(x)[..., rows])
-        first_ifwht = ifwht_sequency(c, plan).copy()
+        first_ifwht = ifwht_sequency(c, work).copy()
         assert np.array_equal(first_ifwht, ifwht_sequency(full))
-        fwht_sequency(rng.standard_normal(x.shape), plan)
-        assert np.array_equal(ifwht_sequency(c, plan), first_ifwht)
+        fwht_sequency(rng.standard_normal(x.shape), work)
+        ifwht_sequency(rng.standard_normal((5, rows.size)), work)
+        assert np.array_equal(ifwht_sequency(c, work), first_ifwht)
         assert np.array_equal(first_fwht, fwht_sequency(x)[..., rows])
         with pytest.raises(ValueError):
-            fwht_sequency(np.zeros((*batch, 2 * n)), plan)
+            fwht_sequency(np.zeros((*batch, 2 * n)), work)
         with pytest.raises(ValueError):
-            ifwht_sequency(np.zeros((*batch, rows.size + 1)), plan)
+            ifwht_sequency(np.zeros((*batch, rows.size + 1)), work)
+
+
+def test_scratch_rejects_bad_rows():
+    for rows, j in (([0, 2], None), ([[0, 1]], 2), ([-1], 2), ([4], 2)):
+        with pytest.raises(ValueError):
+            Scratch(rows, j)
 
 
 def test_sequency_perm_matches_scalar_bit_reverse():
     for j in range(13):
         expect = [bit_reverse(gray(n), j) for n in range(1 << j)]
-        perm, inverse = _sequency_perm(j)
-        assert perm.tolist() == expect
-        assert np.array_equal(perm[inverse], np.arange(1 << j))
+        assert _sequency_perm(j).tolist() == expect
 
 
 def test_fwht_parseval_scaling():

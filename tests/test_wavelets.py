@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walshcs.walsh import fwht_sequency
+from walshcs.walsh import Scratch, fwht_sequency
 from walshcs.wavelets import (
     LevelStructure,
-    Scratch,
     _crossing_gram,
     _daubechies_mp,
     _edge_dps,
