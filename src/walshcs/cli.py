@@ -265,6 +265,8 @@ def cmd_reconstruct(args):
         "iterations": result.iterations,
         "converged": bool(result.converged),
         "dense_section": bool(result.dense_section),
+        "applies": result.applies,
+        "adjoints": result.adjoints,
         "feasibility_gap": result.feasibility_gap,
         "seed": cfg["seed"],
     }

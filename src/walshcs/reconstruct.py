@@ -10,15 +10,23 @@ series baseline and the error metric live here as well.
 
 A reaches the iteration by one of two routes, chosen from its size alone.
 When |Omega| * L is at most DENSE_SECTION_ELEMENTS (2^20 values, 8 MB), the
-solver forms A once (CobOperator.rows_dense of omega) and every product is a
-BLAS matrix-vector product with it; above it, every product runs the
-matrix-free transforms.  Either way the solver builds one operator.Workspace
-for the solve, which holds the formed A or the transforms' buffers, and
-passes it to CobOperator.apply / apply_adjoint, its only product calls;
-omega is checked once, when the Workspace is built.  The matrix-free
-products then allocate nothing of grid size and equal the allocating calls
-bit for bit.  The routes apply the same linear map and differ by rounding
-only; the result's dense_section field says which one ran.
+solver forms A once (CobOperator.rows_dense of omega); above it, the
+products run the matrix-free transforms.  Either way the solver builds one
+operator.Workspace for the solve, which holds the formed A or the
+transforms' buffers, and passes it to CobOperator.apply / apply_adjoint,
+its only product calls; omega is checked once, when the Workspace is built.
+The adjoint product runs on the Workspace every iteration.  The forward
+product reads only the columns of A in the iterate's support S, as
+x[S] @ C[S]: the iterates are sparse (a few dozen of 4096 coefficients in
+the benchmark's solves), and few columns ever enter S.  On the dense route
+C is the formed A.  On the matrix-free route a column is formed by one
+apply of a unit vector the first time it enters S and kept, in order of
+first use, in a store of at most DENSE_SECTION_ELEMENTS values; an
+iteration whose S needs more columns than fit takes its forward product on
+the transforms.  The routes apply the same linear map and differ by
+rounding only (coefficients a few 1e-15 relative after 1200 iterations);
+the result's dense_section field says which one ran, and applies and
+adjoints count the operator calls the iteration made.
 """
 
 from __future__ import annotations
@@ -32,13 +40,15 @@ from .operator import MeasurementVector, Workspace
 from .walsh import fwht_sequency, ifwht_sequency
 
 # |Omega| * L up to which solve_bpdn forms the sampled section explicitly
-# (float64 values, 8 MB).  The bound is set by memory and build time, not by
-# speed: the section and its build batches add to the solve's peak memory
-# (64 x 4096, 2 MB: +2.1 MB on a 47 MB process).  At 256 x 4096 the 8 MB
-# section takes 0.1-0.2 s to build and a 1200-iteration solve 1.1-1.5 s
-# against 1.4-2.6 s matrix-free; at 512 x 4096 the 16 MB section would take
-# 0.5-0.9 s to build and grow the peak by a third, although its products
-# still beat the matrix-free ones (with their workspace) by about 1.7x.
+# (float64 values, 8 MB), and the most values the matrix-free route's column
+# store holds.  The bound is set by memory and build time, not by speed: the
+# section and its build batches add to the solve's peak memory (64 x 4096,
+# 2 MB: +2.1 MB on a 47 MB process).  Measured with one BLAS thread, 1200
+# iterations: at 256 x 4096 the 8 MB section takes about 0.2 s to build and
+# the solve, build included, 1.0 s against 1.6 s matrix-free; at 512 x 4096
+# the 16 MB section would take 0.9-1.0 s to build and grow the peak by a
+# third, although its iterations still beat the matrix-free ones (whose
+# adjoint product runs the transforms) by about 2.4x.
 DENSE_SECTION_ELEMENTS = 1 << 20
 
 
@@ -73,10 +83,65 @@ class ReconstructionResult:
     objective_trace: np.ndarray = field(default=None, repr=False)
     # True when the iteration ran on the explicit sampled section
     dense_section: bool = False
+    # operator calls of the iteration: apply for columns of A and for
+    # forward products on the transforms, apply_adjoint one per iteration
+    applies: int = 0
+    adjoints: int = 0
 
 
 def _soft_threshold(x, t):
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
+class _ColumnStore:
+    """The columns C of A that solve_bpdn's forward products read, as rows
+    of store (see the module docstring).  slot maps a coefficient index to
+    its row of store, -1 before the column is formed; applies counts the
+    apply calls made."""
+
+    def __init__(self, op, work):
+        self.op, self.work = op, work
+        self.applies = 0
+        if work.section is not None:
+            self.store = work.section.T
+            self.slot = np.arange(work.L)
+            self.formed = self.cap = work.L
+        else:
+            self.store = np.empty((0, work.omega.size))
+            self.slot = np.full(work.L, -1)
+            self.formed = 0
+            self.cap = DENSE_SECTION_ELEMENTS // work.omega.size
+            self.unit = np.zeros(work.L)
+
+    def product(self, x):
+        """A x as x[S] @ C[S] over the support S of x, forming the columns
+        that enter S while the store has room; on the transforms when S
+        still needs a column the store could not take."""
+        support = np.flatnonzero(x)
+        rows = self.slot[support]
+        new = support[rows < 0]
+        if new.size:
+            for j in new[: self.cap - self.formed]:
+                self._form(j)
+            rows = self.slot[support]
+            if rows.min() < 0:
+                self.applies += 1
+                return self.op.apply(x, self.work.omega, work=self.work)
+        return x[support] @ self.store[rows]
+
+    def _form(self, j):
+        # grown by doubling, never allocated at the cap up front: the
+        # wideband benchmark's solves need 40-50 columns of a 2048 cap
+        if self.formed == len(self.store):
+            grown = np.empty((min(self.cap, max(64, 2 * self.formed)), self.store.shape[1]))
+            grown[: self.formed] = self.store
+            self.store = grown
+        self.unit[j] = 1.0
+        self.store[self.formed] = self.op.apply(self.unit, self.work.omega, work=self.work)
+        self.unit[j] = 0.0
+        self.slot[j] = self.formed
+        self.formed += 1
+        self.applies += 1
 
 
 def solve_bpdn(op, omega, g, cfg=None):
@@ -89,7 +154,8 @@ def solve_bpdn(op, omega, g, cfg=None):
     The sampled section is formed explicitly when |omega| * L is at most
     DENSE_SECTION_ELEMENTS and applied matrix-free otherwise, in both cases
     through one Workspace for the solve.  Each iteration makes one adjoint
-    and one forward product.
+    product and one forward product, the latter from the columns of A in
+    the iterate's support (see _ColumnStore).
     """
     cfg = cfg or ReconstructionConfig()
     if hasattr(omega, "union"):
@@ -118,6 +184,7 @@ def solve_bpdn(op, omega, g, cfg=None):
             dense_section=dense,
         )
     work = Workspace(op, omega, L, dense=dense)
+    columns = _ColumnStore(op, work)
     # A is a row-and-column section of the orthogonal U: tau sigma ||A||^2 <= 0.9025
     tau = sigma = 0.95
 
@@ -141,7 +208,7 @@ def solve_bpdn(op, omega, g, cfg=None):
         x_new = _soft_threshold(x - tau * op.apply_adjoint(y, omega, work=work), tau)
         if not np.isfinite(x_new).all():
             raise NumericalError(f"solver produced non-finite iterates at step {it}")
-        ax_new = op.apply(x_new, omega, work=work)
+        ax_new = columns.product(x_new)
         ax_bar = 2.0 * ax_new - ax  # A (2 x_new - x), by linearity
         x, ax = x_new, ax_new
         if it % check_every == 0 or it == cfg.max_iter:
@@ -165,6 +232,8 @@ def solve_bpdn(op, omega, g, cfg=None):
         converged=converged,
         objective_trace=np.array(trace),
         dense_section=dense,
+        applies=columns.applies,
+        adjoints=it,
     )
 
 

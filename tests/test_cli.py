@@ -78,6 +78,8 @@ def test_reconstruct_full_pipeline(tmp_path):
     assert 0.0 <= record["cs_error"] < 1.0
     # 32 samples x 256 coefficients lies under the solver's dense-section rule
     assert record["dense_section"] is True
+    # its forward products read A's columns: no apply, one adjoint per iteration
+    assert record["applies"] == 0 and record["adjoints"] == record["iterations"]
     for prefix in ("rec_", "coeffs_", "tw_", "pattern_"):
         assert any(n.startswith(prefix) for n in os.listdir(out))
 

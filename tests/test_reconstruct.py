@@ -247,23 +247,20 @@ def test_one_forward_and_one_adjoint_product_per_iteration(dense, monkeypatch):
     res = solve_bpdn(op, omega, rng.standard_normal(omega.size), cfg)
     assert res.dense_section == dense
     assert not res.converged and res.iterations == cfg.max_iter
-    # the dense route builds A from one adjoint call per batch of rows, two here
+    # the dense route builds A from one adjoint call per batch of rows, two
+    # here, and its forward products read A's columns, so it calls no apply;
+    # with the rule at 0 the column store holds nothing and every forward
+    # product of a nonzero iterate runs on the transforms
     build = len(op.batches(omega.size)) if dense else 0
     assert build == (2 if dense else 0)
-    assert calls == {"apply": res.iterations, "apply_adjoint": res.iterations + build}
+    forward = 0 if dense else res.iterations
+    assert calls == {"apply": forward, "apply_adjoint": res.iterations + build}
+    assert (res.applies, res.adjoints) == (forward, res.iterations)
 
 
-@pytest.mark.parametrize(
-    "q, budget, digest",
-    [(8, 512, "6712904d2afa3f86"), (3, 256, "22714011cacf7911")],
-    ids=["wideband", "criterion-8"],
-)
-def test_matrix_free_solve_is_pinned(q, budget, digest, monkeypatch):
-    # 60 matrix-free iterations at the shapes of the wideband benchmark and
-    # of criterion 8 (p = 4, J0 = 3, L = 2^12, Q = 15, signal g, scheme seed
-    # 0); the digests are those of the allocating transforms, which the
-    # solver's workspace reproduces bit for bit
-    monkeypatch.setattr(reconstruct, "DENSE_SECTION_ELEMENTS", 0)
+def benchmark_shape_solve(q, budget, max_iter=60):
+    # solve_bpdn at the shapes of the benchmark's solves and of criterion 8
+    # (p = 4, J0 = 3, L = 2^12, Q = 15, signal g, scheme seed 0)
     op = CobOperator(build_basis(4, 3), LevelStructure(J0=3, r=9))
     levels = LevelStructure(J0=3, r=4, q=q)
     sparsity = tuple(
@@ -275,9 +272,97 @@ def test_matrix_free_solve_is_pinned(q, budget, digest, monkeypatch):
     )
     scheme = draw_scheme(levels, m, 0)
     g = measure_signal(signal_jump(op.Q), scheme)
-    res = solve_bpdn(op, scheme, g, ReconstructionConfig(L=1 << 12, max_iter=60))
+    return solve_bpdn(op, scheme, g, ReconstructionConfig(L=1 << 12, max_iter=max_iter))
+
+
+def digest(coeffs):
+    return hashlib.sha256(coeffs.tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "q, budget, pinned",
+    [(8, 512, "6712904d2afa3f86"), (3, 256, "22714011cacf7911")],
+    ids=["wideband", "criterion-8"],
+)
+def test_matrix_free_solve_is_pinned(q, budget, pinned, monkeypatch):
+    # 60 iterations on the transforms alone (the rule at 0 leaves the column
+    # store no room); the digests are those of the allocating transforms,
+    # which the solver's workspace reproduces bit for bit
+    monkeypatch.setattr(reconstruct, "DENSE_SECTION_ELEMENTS", 0)
+    res = benchmark_shape_solve(q, budget)
     assert not res.dense_section and res.iterations == 60
-    assert hashlib.sha256(res.coeffs.tobytes()).hexdigest()[:16] == digest
+    assert digest(res.coeffs) == pinned
+
+
+def test_column_store_solve_is_pinned(monkeypatch):
+    # the wideband shape under the default rule runs matrix-free with the
+    # column store; it agrees with the same solve on the transforms
+    res = benchmark_shape_solve(8, 512)
+    assert not res.dense_section and res.iterations == 60
+    assert digest(res.coeffs) == "280c4831366b8623"
+    assert 0 < res.applies < res.iterations and res.adjoints == res.iterations
+    monkeypatch.setattr(reconstruct, "DENSE_SECTION_ELEMENTS", 0)
+    ref = benchmark_shape_solve(8, 512)
+    # the first iterates are zero, and their products need no column
+    assert ref.adjoints == ref.iterations and res.applies < ref.applies <= ref.iterations
+    assert np.linalg.norm(res.coeffs - ref.coeffs) <= 1e-13 * np.linalg.norm(ref.coeffs)
+
+
+def recorded_applies(op):
+    """Wrap op.apply; the returned list gets the support of each argument."""
+    supports = []
+    apply = op.apply
+
+    def recorded(coeffs, *args, **kwargs):
+        supports.append(np.flatnonzero(coeffs))
+        return apply(coeffs, *args, **kwargs)
+
+    op.apply = recorded
+    return supports
+
+
+def store_solve_and_reference(rule, monkeypatch):
+    """A matrix-free lowband solve with DENSE_SECTION_ELEMENTS at rule(|omega| L),
+    the same solve at rule 0 (on the transforms alone), and the supports of
+    the apply arguments of each."""
+    rng = np.random.default_rng(10)
+    omega = np.sort(rng.choice(64, 40, replace=False))
+    x0 = np.zeros(512)
+    x0[rng.choice(64, 6, replace=False)] = rng.standard_normal(6)
+    g = MeasurementVector(omega, lowband_op().apply(x0, omega), delta=1e-3)
+    results = []
+    for elements in (rule(omega.size, 512), 0):
+        op = lowband_op()
+        supports = recorded_applies(op)
+        monkeypatch.setattr(reconstruct, "DENSE_SECTION_ELEMENTS", elements)
+        res = solve_bpdn(op, omega, g, ReconstructionConfig(L=512, max_iter=200))
+        assert not res.dense_section and len(supports) == res.applies
+        results.append((res, supports))
+    (res, supports), (ref, ref_supports) = results
+    assert np.linalg.norm(res.coeffs - ref.coeffs) <= 1e-13 * np.linalg.norm(ref.coeffs)
+    return res, supports, ref_supports
+
+
+def test_column_store_forms_each_support_column_once(monkeypatch):
+    # one apply per distinct column that ever enters the support, of a
+    # one-hot vector, and no forward product on the transforms
+    res, supports, ref_supports = store_solve_and_reference(lambda n, L: n * L - 1, monkeypatch)
+    assert all(s.size == 1 for s in supports)
+    formed = np.concatenate(supports)
+    assert np.array_equal(np.sort(formed), np.unique(np.concatenate(ref_supports)))
+    assert res.applies == formed.size and res.adjoints == res.iterations
+
+
+def test_column_store_stops_at_its_cap(monkeypatch):
+    # a rule of k |omega| caps the store at k columns; iterations whose
+    # support needs another column take their forward product on the
+    # transforms, and the solve still agrees with the transforms alone
+    res, supports, ref_supports = store_solve_and_reference(lambda n, L: 3 * n, monkeypatch)
+    assert np.unique(np.concatenate(ref_supports)).size > 3
+    assert [s.size for s in supports[:3]] == [1, 1, 1] and len(supports) > 3
+    stored = np.concatenate(supports[:3])
+    assert all(np.setdiff1d(s, stored).size for s in supports[3:])
+    assert res.applies == len(supports) and res.adjoints == res.iterations
 
 
 def test_truncated_walsh_exact_for_finite_series():
