@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operator import Workspace
+
 # M_r up to which relative_sparsity_exact enumerates supports and signs
 ENUMERATION_CAP = 16
 # grid exponent of the tabulation analytic_constants differentiates
@@ -181,13 +183,14 @@ def tail_norm(op, N, M):
     full = np.arange(1 << op.Q)
     if M == 0 or N == full.size:
         return 0.0
+    work = Workspace(op, full, M)
     v = np.random.default_rng(7).standard_normal(M)
     basis = [v / np.linalg.norm(v)]
     alpha, beta = [], []
     for _ in range(M):
-        g = op.apply(basis[-1], full)
+        g = op.apply(basis[-1], full, work=work)
         g[:N] = 0.0
-        w = op.apply_adjoint(g, full, L=M)
+        w = op.apply_adjoint(g, full, work=work)
         alpha.append(basis[-1] @ w)
         q = np.array(basis)
         for _ in range(2):  # classical Gram-Schmidt, twice

@@ -21,20 +21,18 @@ differs (about 1e-15 relative).  apply_adjoint is its transpose: scatter at
 levels at or above L.  When a sample reaches 2^(Q-1), m = Q, B is the
 identity and is not applied, and the full-grid operations run unchanged.
 
-Workspace: a caller that takes many products at one index set (the solver
-takes two per iteration) builds one Workspace and passes it to apply and
-apply_adjoint, with the omega (and L) it was built for; another omega or
-L raises.  It checks omega once, fixes m and keeps every 2^m-sized array
-the transforms need in a walsh.Scratch, so the products allocate nothing
-of grid size; the Scratch holds omega folded into the Hadamard order of
-the sequency transform, so apply gathers |omega| values and apply_adjoint
-scatters them onto a zeroed grid.  Whoever builds a Workspace owns it;
-CobOperator keeps no state.  A product with a Workspace runs the same
-floating-point operations in the same order as one without (which builds
-a fresh Workspace for the call), so the two are equal bit for bit, and no
-array returned is one the Workspace holds.  On the dense route a Workspace
-holds the formed section instead, and every product is one matrix
-product.
+Workspace: a caller that takes many products at one index set (an
+iterative solver, the Lanczos steps of analysis.tail_norm) builds one
+Workspace and passes it to apply and apply_adjoint, with the omega (and L)
+it was built for; another omega or L raises.  It checks omega once, fixes
+m and keeps every 2^m-sized array the transforms need in a walsh.Scratch,
+so the products allocate nothing of grid size; the Scratch holds omega
+folded into the Hadamard order of the sequency transform, so apply gathers
+|omega| values and apply_adjoint scatters them onto a zeroed grid.
+Whoever builds a Workspace owns it; CobOperator keeps no state.  A product
+with a Workspace runs the same floating-point operations in the same order
+as one without (which builds a fresh Workspace for the call), so the two
+are equal bit for bit, and no array returned is one the Workspace holds.
 """
 
 from __future__ import annotations
@@ -48,8 +46,8 @@ from .wavelets import dwt_forward, dwt_inverse
 
 SECTION_GUARD = 1 << 12
 # grid values one batched transform call holds (1 MB); see CobOperator.batches.
-# Small enough that a solver's section build (4 rows a batch at Q = 15) stays
-# small beside the section it fills, which is all the solve keeps
+# Small enough that a rows_dense build (4 rows a batch at Q = 15) stays small
+# beside the section it fills
 BATCH_ELEMENTS = 1 << 17
 
 
@@ -139,8 +137,6 @@ class CobOperator:
             work = Workspace(self, omega, max(np.shape(coeffs)[-1], 1))
         else:
             work.check(omega)
-        if work.section is not None:
-            return coeffs @ work.section.T
         full = self._padded(coeffs, work.scratch)
         if full.shape[-1] != 1 << work.top:
             raise ValueError("coefficient count and workspace end at different scales")
@@ -159,8 +155,6 @@ class CobOperator:
             work = Workspace(self, omega, L)
         else:
             work.check(omega, L)
-        if work.section is not None:
-            return values @ work.section
         values = np.asarray(values, dtype=float)
         if values.shape[-1:] != work.omega.shape:
             raise ValueError("values and omega must have matching shapes")
@@ -235,18 +229,16 @@ class CobOperator:
 
 class Workspace:
     """What the products of one CobOperator at one index set reuse (see the
-    module docstring): omega, checked once, and the coefficient count L
-    (default M_r); with dense=True the section P_omega U P_L formed by
-    rows_dense, otherwise the scale top of the first L coefficients, the
-    working scale m and a walsh.Scratch for the transforms, whose sequency
-    rows are omega at 2^m."""
+    module docstring): omega, checked once, the coefficient count L
+    (default M_r), the scale top of the first L coefficients, the working
+    scale m and a walsh.Scratch for the transforms, whose sequency rows are
+    omega at 2^m."""
 
-    def __init__(self, op, omega, L=None, dense=False):
+    def __init__(self, op, omega, L=None):
         self.omega = op._check_omega(omega)
         self.L = op.levels.M_r if L is None else int(L)
         if not 1 <= self.L <= op.n_grid:
             raise ValueError(f"L must lie in [1, 2^{op.Q}], got {self.L}")
-        self.section = op.rows_dense(self.omega, self.L) if dense else None
         self.top = op._top(self.L)
         self.m = max(self.top, int(self.omega.max(initial=0)).bit_length())
         self.scratch = Scratch(self.omega, self.m)

@@ -11,22 +11,21 @@ series baseline and the error metric live here as well.
 A reaches the iteration by one of two routes, chosen from its size alone.
 When |Omega| * L is at most DENSE_SECTION_ELEMENTS (2^20 values, 8 MB), the
 solver forms A once (CobOperator.rows_dense of omega); above it, the
-products run the matrix-free transforms.  Either way the solver builds one
-operator.Workspace for the solve, which holds the formed A or the
-transforms' buffers, and passes it to CobOperator.apply / apply_adjoint,
-its only product calls; omega is checked once, when the Workspace is built.
-The adjoint product runs on the Workspace every iteration.  The forward
-product reads only the columns of A in the iterate's support S, as
-x[S] @ C[S]: the iterates are sparse (a few dozen of 4096 coefficients in
-the benchmark's solves), and few columns ever enter S.  On the dense route
-C is the formed A.  On the matrix-free route a column is formed by one
-apply of a unit vector the first time it enters S and kept, in order of
-first use, in a store of at most DENSE_SECTION_ELEMENTS values; an
-iteration whose S needs more columns than fit takes its forward product on
-the transforms.  The routes apply the same linear map and differ by
-rounding only (coefficients a few 1e-15 relative after 1200 iterations);
-the result's dense_section field says which one ran, and applies and
-adjoints count the operator calls the iteration made.
+products run the matrix-free transforms.  The solver's A, a _ColumnStore,
+holds the formed A or the solve's one operator.Workspace with the
+transforms' buffers; omega is checked once, when the store is built.  The
+adjoint product runs every iteration.  The forward product reads only the
+columns of A in the iterate's support S, as x[S] @ C[S]: the iterates are
+sparse (a few dozen of 4096 coefficients in the benchmark's solves), and
+few columns ever enter S.  On the dense route C is the formed A.  On the
+matrix-free route a column is formed by one apply of a unit vector the
+first time it enters S and kept, in order of first use, in a store of at
+most DENSE_SECTION_ELEMENTS values; an iteration whose S needs more
+columns than fit takes its forward product on the transforms.  The routes
+apply the same linear map and differ by rounding only (coefficients a few
+1e-15 relative after 1200 iterations); the result's dense_section field
+says which one ran, applies counts the iteration's apply calls and
+adjoints its adjoint products.
 """
 
 from __future__ import annotations
@@ -83,8 +82,8 @@ class ReconstructionResult:
     objective_trace: np.ndarray = field(default=None, repr=False)
     # True when the iteration ran on the explicit sampled section
     dense_section: bool = False
-    # operator calls of the iteration: apply for columns of A and for
-    # forward products on the transforms, apply_adjoint one per iteration
+    # apply calls of the iteration, for columns of A and for forward
+    # products on the transforms, and its adjoint products, one per iteration
     applies: int = 0
     adjoints: int = 0
 
@@ -94,24 +93,33 @@ def _soft_threshold(x, t):
 
 
 class _ColumnStore:
-    """The columns C of A that solve_bpdn's forward products read, as rows
-    of store (see the module docstring).  slot maps a coefficient index to
-    its row of store, -1 before the column is formed; applies counts the
-    apply calls made."""
+    """solve_bpdn's A = P_omega U P_L (omega nonempty) by its two products,
+    dense (all of A formed) when its cap of DENSE_SECTION_ELEMENTS // |omega|
+    columns reaches L.  store holds the columns C of A that the forward
+    products read, as rows; slot maps a coefficient index to its row of
+    store, -1 before the column is formed; applies counts apply calls."""
 
-    def __init__(self, op, work):
-        self.op, self.work = op, work
+    def __init__(self, op, omega, L):
+        self.op = op
         self.applies = 0
-        if work.section is not None:
-            self.store = work.section.T
-            self.slot = np.arange(work.L)
-            self.formed = self.cap = work.L
+        self.cap = DENSE_SECTION_ELEMENTS // omega.size
+        self.dense = self.cap >= L
+        if self.dense:
+            self.store = op.rows_dense(omega, L).T
+            self.slot = np.arange(L)
+            self.formed = L
         else:
-            self.store = np.empty((0, work.omega.size))
-            self.slot = np.full(work.L, -1)
+            self.work = Workspace(op, omega, L)
+            self.store = np.empty((0, omega.size))
+            self.slot = np.full(L, -1)
             self.formed = 0
-            self.cap = DENSE_SECTION_ELEMENTS // work.omega.size
-            self.unit = np.zeros(work.L)
+            self.unit = np.zeros(L)
+
+    def adjoint(self, y):
+        """A^T y, as y @ A with the formed A or on the transforms."""
+        if self.dense:
+            return y @ self.store.T
+        return self.op.apply_adjoint(y, self.work.omega, work=self.work)
 
     def product(self, x):
         """A x as x[S] @ C[S] over the support S of x, forming the columns
@@ -152,10 +160,10 @@ def solve_bpdn(op, omega, g, cfg=None):
     wins over the config's, which applies when it is zero or g is plain.
     Non-convergence within max_iter is flagged on the result, never silent.
     The sampled section is formed explicitly when |omega| * L is at most
-    DENSE_SECTION_ELEMENTS and applied matrix-free otherwise, in both cases
-    through one Workspace for the solve.  Each iteration makes one adjoint
-    product and one forward product, the latter from the columns of A in
-    the iterate's support (see _ColumnStore).
+    DENSE_SECTION_ELEMENTS and applied matrix-free otherwise (see
+    _ColumnStore).  Each iteration makes one adjoint product and one
+    forward product, the latter from the columns of A in the iterate's
+    support.
     """
     cfg = cfg or ReconstructionConfig()
     if hasattr(omega, "union"):
@@ -172,7 +180,6 @@ def solve_bpdn(op, omega, g, cfg=None):
     if g.shape != omega.shape:
         raise ValueError("measurement vector and omega must have equal lengths")
     L = min(cfg.L, op.levels.M_r)
-    dense = omega.size * L <= DENSE_SECTION_ELEMENTS
     if omega.size == 0:
         return ReconstructionResult(
             coeffs=np.zeros(L),
@@ -181,10 +188,9 @@ def solve_bpdn(op, omega, g, cfg=None):
             feasibility_gap=float(np.linalg.norm(g) - delta),
             converged=True,
             objective_trace=np.zeros(1),
-            dense_section=dense,
+            dense_section=True,
         )
-    work = Workspace(op, omega, L, dense=dense)
-    columns = _ColumnStore(op, work)
+    section = _ColumnStore(op, omega, L)
     # A is a row-and-column section of the orthogonal U: tau sigma ||A||^2 <= 0.9025
     tau = sigma = 0.95
 
@@ -205,10 +211,10 @@ def solve_bpdn(op, omega, g, cfg=None):
         wn = np.linalg.norm(w)
         y = w * max(0.0, 1.0 - sigma * delta / wn) if wn > 0 else w
         # primal: soft thresholding
-        x_new = _soft_threshold(x - tau * op.apply_adjoint(y, omega, work=work), tau)
+        x_new = _soft_threshold(x - tau * section.adjoint(y), tau)
         if not np.isfinite(x_new).all():
             raise NumericalError(f"solver produced non-finite iterates at step {it}")
-        ax_new = columns.product(x_new)
+        ax_new = section.product(x_new)
         ax_bar = 2.0 * ax_new - ax  # A (2 x_new - x), by linearity
         x, ax = x_new, ax_new
         if it % check_every == 0 or it == cfg.max_iter:
@@ -231,8 +237,8 @@ def solve_bpdn(op, omega, g, cfg=None):
         feasibility_gap=float(np.linalg.norm(ax - g)) - delta,
         converged=converged,
         objective_trace=np.array(trace),
-        dense_section=dense,
-        applies=columns.applies,
+        dense_section=section.dense,
+        applies=section.applies,
         adjoints=it,
     )
 

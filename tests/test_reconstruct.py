@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from walshcs import reconstruct
-from walshcs.operator import CobOperator, MeasurementVector, Workspace
+from walshcs.operator import CobOperator, MeasurementVector
 from walshcs.reconstruct import (
     ReconstructionConfig,
     measure_signal,
@@ -146,17 +146,21 @@ def test_sampled_section_matches_operator():
         omega = rng.choice(64, size, replace=False)
         a = op.rows_dense(omega, L)
         assert a.shape == (size, L)
-        work = Workspace(op, omega, L, dense=True)
-        assert np.array_equal(work.section, a)
+        # the solver's A on the dense route is this section
+        store = reconstruct._ColumnStore(op, omega, L)
+        assert store.dense
+        assert np.array_equal(store.store.T, a)
         for _ in range(3):
             x = rng.standard_normal(L)
             y = rng.standard_normal(size)
             ref = op.apply(x, omega)
             assert np.max(np.abs(a @ x - ref)) <= 3e-15 * max(1.0, np.max(np.abs(ref)))
-            assert np.array_equal(op.apply(x, omega, work=work), x @ a.T)
             ref = op.apply_adjoint(y, omega, L=L)
             assert np.max(np.abs(y @ a - ref)) <= 3e-15 * max(1.0, np.max(np.abs(ref)))
-            assert np.array_equal(op.apply_adjoint(y, omega, work=work), y @ a)
+            assert np.array_equal(store.adjoint(y), y @ a)
+            x[rng.random(L) < 0.9] = 0.0
+            support = np.flatnonzero(x)
+            assert np.array_equal(store.product(x), x[support] @ a.T[support])
     # a truncated section is the leading columns of the full one
     omega = rng.choice(64, 9, replace=False)
     full = op.rows_dense(omega, L)
@@ -247,14 +251,15 @@ def test_one_forward_and_one_adjoint_product_per_iteration(dense, monkeypatch):
     res = solve_bpdn(op, omega, rng.standard_normal(omega.size), cfg)
     assert res.dense_section == dense
     assert not res.converged and res.iterations == cfg.max_iter
-    # the dense route builds A from one adjoint call per batch of rows, two
-    # here, and its forward products read A's columns, so it calls no apply;
-    # with the rule at 0 the column store holds nothing and every forward
-    # product of a nonzero iterate runs on the transforms
+    # the dense route calls apply_adjoint only to build A, once per batch of
+    # rows (two here), and then takes both products with the formed A; with
+    # the rule at 0 the column store holds nothing, so every adjoint and
+    # every forward product of a nonzero iterate runs on the transforms
     build = len(op.batches(omega.size)) if dense else 0
     assert build == (2 if dense else 0)
     forward = 0 if dense else res.iterations
-    assert calls == {"apply": forward, "apply_adjoint": res.iterations + build}
+    adjoint = build if dense else res.iterations
+    assert calls == {"apply": forward, "apply_adjoint": adjoint}
     assert (res.applies, res.adjoints) == (forward, res.iterations)
 
 
@@ -291,6 +296,20 @@ def test_matrix_free_solve_is_pinned(q, budget, pinned, monkeypatch):
     monkeypatch.setattr(reconstruct, "DENSE_SECTION_ELEMENTS", 0)
     res = benchmark_shape_solve(q, budget)
     assert not res.dense_section and res.iterations == 60
+    assert digest(res.coeffs) == pinned
+
+
+@pytest.mark.parametrize(
+    "q, budget, pinned",
+    [(1, 64, "3bf5c59af7027a67"), (3, 256, "f9b2f6547e6482f7")],
+    ids=["lowband", "criterion-8"],
+)
+def test_dense_solve_is_pinned(q, budget, pinned):
+    # 60 iterations under the default rule, which forms A at both shapes:
+    # both products are matrix products with the section rows_dense builds
+    res = benchmark_shape_solve(q, budget)
+    assert res.dense_section and res.iterations == 60
+    assert res.applies == 0 and res.adjoints == res.iterations
     assert digest(res.coeffs) == pinned
 
 
