@@ -33,6 +33,10 @@ Whoever builds a Workspace owns it; CobOperator keeps no state.  A product
 with a Workspace runs the same floating-point operations in the same order
 as one without (which builds a fresh Workspace for the call), so the two
 are equal bit for bit, and no array returned is one the Workspace holds.
+The one exception: a Workspace built with dense=True also holds the
+section P_omega U P_L, formed once by rows_dense, and apply_adjoint on it
+is one matrix product with that section, equal to the transforms up to
+rounding only; apply always runs the transforms.
 """
 
 from __future__ import annotations
@@ -155,6 +159,8 @@ class CobOperator:
             work = Workspace(self, omega, L)
         else:
             work.check(omega, L)
+        if work.section is not None:
+            return values @ work.section
         values = np.asarray(values, dtype=float)
         if values.shape[-1:] != work.omega.shape:
             raise ValueError("values and omega must have matching shapes")
@@ -232,13 +238,15 @@ class Workspace:
     module docstring): omega, checked once, the coefficient count L
     (default M_r), the scale top of the first L coefficients, the working
     scale m and a walsh.Scratch for the transforms, whose sequency rows are
-    omega at 2^m."""
+    omega at 2^m; with dense=True also the section P_omega U P_L formed by
+    rows_dense, which apply_adjoint multiplies by."""
 
-    def __init__(self, op, omega, L=None):
+    def __init__(self, op, omega, L=None, dense=False):
         self.omega = op._check_omega(omega)
         self.L = op.levels.M_r if L is None else int(L)
         if not 1 <= self.L <= op.n_grid:
             raise ValueError(f"L must lie in [1, 2^{op.Q}], got {self.L}")
+        self.section = op.rows_dense(self.omega, self.L) if dense else None
         self.top = op._top(self.L)
         self.m = max(self.top, int(self.omega.max(initial=0)).bit_length())
         self.scratch = Scratch(self.omega, self.m)

@@ -9,22 +9,24 @@ and the steps tau = sigma = 0.95 need no estimate.  The truncated Walsh
 series baseline and the error metric live here as well.
 
 A reaches the iteration by one of two routes, chosen from its size alone.
-When |Omega| * L is at most DENSE_SECTION_ELEMENTS (2^20 values, 8 MB), the
-solver forms A once (CobOperator.rows_dense of omega); above it, the
-products run the matrix-free transforms.  The solver's A, a _ColumnStore,
-holds the formed A or the solve's one operator.Workspace with the
-transforms' buffers; omega is checked once, when the store is built.  The
-adjoint product runs every iteration.  The forward product reads only the
-columns of A in the iterate's support S, as x[S] @ C[S]: the iterates are
-sparse (a few dozen of 4096 coefficients in the benchmark's solves), and
-few columns ever enter S.  On the dense route C is the formed A.  On the
-matrix-free route a column is formed by one apply of a unit vector the
-first time it enters S and kept, in order of first use, in a store of at
-most DENSE_SECTION_ELEMENTS values; an iteration whose S needs more
-columns than fit takes its forward product on the transforms.  The routes
-apply the same linear map and differ by rounding only (coefficients a few
-1e-15 relative after 1200 iterations); the result's dense_section field
-says which one ran, applies counts the iteration's apply calls and
+When |Omega| * L is at most DENSE_SECTION_ELEMENTS (2^20 values, 8 MB),
+the solver forms A once (CobOperator.rows_dense of omega); above it, the
+products run the matrix-free transforms.  The solver's A, a
+_SampledSection, picks the route when it is built and holds the solve's
+one operator.Workspace, which holds the formed A on the dense route and
+the transforms' buffers on both; omega is checked once, when the Workspace
+is built.  The adjoint product runs every iteration, as one
+CobOperator.apply_adjoint with that Workspace.  The forward product reads
+only the columns of A in the iterate's support S, as x[S] @ C[S]: the
+iterates are sparse (a few dozen of 4096 coefficients in the benchmark's
+solves), and few columns ever enter S.  On the dense route C is the formed
+A.  On the matrix-free route a column is formed by one apply of a unit
+vector the first time it enters S and kept, in order of first use, in a
+store of at most DENSE_SECTION_ELEMENTS values; an iteration whose S needs
+more columns than fit takes its forward product on the transforms.  The
+routes apply the same linear map and differ by rounding only (coefficients
+a few 1e-15 relative after 1200 iterations); the result's dense_section
+field says which one ran, applies counts the iteration's apply calls and
 adjoints its adjoint products.
 """
 
@@ -92,33 +94,31 @@ def _soft_threshold(x, t):
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-class _ColumnStore:
-    """solve_bpdn's A = P_omega U P_L (omega nonempty) by its two products,
-    dense (all of A formed) when its cap of DENSE_SECTION_ELEMENTS // |omega|
-    columns reaches L.  store holds the columns C of A that the forward
-    products read, as rows; slot maps a coefficient index to its row of
-    store, -1 before the column is formed; applies counts apply calls."""
+class _SampledSection:
+    """solve_bpdn's A = P_omega U P_L (omega nonempty) by its two products
+    on one Workspace, formed (dense) when it has at most
+    DENSE_SECTION_ELEMENTS values.  store holds the columns of A that the
+    forward products read, as rows: all of them when dense, else at most
+    cap, with slot mapping a coefficient index to its row (-1 before the
+    column is formed).  applies counts apply calls."""
 
     def __init__(self, op, omega, L):
         self.op = op
         self.applies = 0
-        self.cap = DENSE_SECTION_ELEMENTS // omega.size
-        self.dense = self.cap >= L
+        cap = DENSE_SECTION_ELEMENTS // omega.size
+        self.dense = cap >= L
+        self.work = Workspace(op, omega, L, dense=self.dense)
         if self.dense:
-            self.store = op.rows_dense(omega, L).T
-            self.slot = np.arange(L)
-            self.formed = L
+            self.store = self.work.section.T
         else:
-            self.work = Workspace(op, omega, L)
+            self.cap = cap
             self.store = np.empty((0, omega.size))
             self.slot = np.full(L, -1)
             self.formed = 0
             self.unit = np.zeros(L)
 
     def adjoint(self, y):
-        """A^T y, as y @ A with the formed A or on the transforms."""
-        if self.dense:
-            return y @ self.store.T
+        """A^T y: y @ A with the formed A, or on the transforms."""
         return self.op.apply_adjoint(y, self.work.omega, work=self.work)
 
     def product(self, x):
@@ -126,6 +126,8 @@ class _ColumnStore:
         that enter S while the store has room; on the transforms when S
         still needs a column the store could not take."""
         support = np.flatnonzero(x)
+        if self.dense:
+            return x[support] @ self.store[support]
         rows = self.slot[support]
         new = support[rows < 0]
         if new.size:
@@ -161,7 +163,7 @@ def solve_bpdn(op, omega, g, cfg=None):
     Non-convergence within max_iter is flagged on the result, never silent.
     The sampled section is formed explicitly when |omega| * L is at most
     DENSE_SECTION_ELEMENTS and applied matrix-free otherwise (see
-    _ColumnStore).  Each iteration makes one adjoint product and one
+    _SampledSection).  Each iteration makes one adjoint product and one
     forward product, the latter from the columns of A in the iterate's
     support.
     """
@@ -190,7 +192,7 @@ def solve_bpdn(op, omega, g, cfg=None):
             objective_trace=np.zeros(1),
             dense_section=True,
         )
-    section = _ColumnStore(op, omega, L)
+    section = _SampledSection(op, omega, L)
     # A is a row-and-column section of the orthogonal U: tau sigma ||A||^2 <= 0.9025
     tau = sigma = 0.95
 

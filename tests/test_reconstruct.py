@@ -146,21 +146,25 @@ def test_sampled_section_matches_operator():
         omega = rng.choice(64, size, replace=False)
         a = op.rows_dense(omega, L)
         assert a.shape == (size, L)
-        # the solver's A on the dense route is this section
-        store = reconstruct._ColumnStore(op, omega, L)
-        assert store.dense
-        assert np.array_equal(store.store.T, a)
+        # the solver's A on the dense route holds this section in its
+        # Workspace, and takes both of its products with it
+        section = reconstruct._SampledSection(op, omega, L)
+        assert section.dense
+        assert np.array_equal(section.work.section, a)
         for _ in range(3):
             x = rng.standard_normal(L)
             y = rng.standard_normal(size)
             ref = op.apply(x, omega)
             assert np.max(np.abs(a @ x - ref)) <= 3e-15 * max(1.0, np.max(np.abs(ref)))
+            # apply runs the transforms, whatever the Workspace holds
+            assert np.array_equal(op.apply(x, omega, work=section.work), ref)
             ref = op.apply_adjoint(y, omega, L=L)
             assert np.max(np.abs(y @ a - ref)) <= 3e-15 * max(1.0, np.max(np.abs(ref)))
-            assert np.array_equal(store.adjoint(y), y @ a)
+            assert np.array_equal(op.apply_adjoint(y, omega, work=section.work), y @ a)
+            assert np.array_equal(section.adjoint(y), y @ a)
             x[rng.random(L) < 0.9] = 0.0
             support = np.flatnonzero(x)
-            assert np.array_equal(store.product(x), x[support] @ a.T[support])
+            assert np.array_equal(section.product(x), x[support] @ a.T[support])
     # a truncated section is the leading columns of the full one
     omega = rng.choice(64, 9, replace=False)
     full = op.rows_dense(omega, L)
@@ -251,15 +255,14 @@ def test_one_forward_and_one_adjoint_product_per_iteration(dense, monkeypatch):
     res = solve_bpdn(op, omega, rng.standard_normal(omega.size), cfg)
     assert res.dense_section == dense
     assert not res.converged and res.iterations == cfg.max_iter
-    # the dense route calls apply_adjoint only to build A, once per batch of
-    # rows (two here), and then takes both products with the formed A; with
-    # the rule at 0 the column store holds nothing, so every adjoint and
-    # every forward product of a nonzero iterate runs on the transforms
+    # the dense route builds A from one adjoint call per batch of rows, two
+    # here, and its forward products read A's columns, so it calls no apply;
+    # with the rule at 0 the column store holds nothing and every forward
+    # product of a nonzero iterate runs on the transforms
     build = len(op.batches(omega.size)) if dense else 0
     assert build == (2 if dense else 0)
     forward = 0 if dense else res.iterations
-    adjoint = build if dense else res.iterations
-    assert calls == {"apply": forward, "apply_adjoint": adjoint}
+    assert calls == {"apply": forward, "apply_adjoint": res.iterations + build}
     assert (res.applies, res.adjoints) == (forward, res.iterations)
 
 
