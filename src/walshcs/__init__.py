@@ -21,6 +21,7 @@ from .reconstruct import (
     ReconstructionConfig,
     ReconstructionResult,
     measure_signal,
+    reconstruct_signal,
     relative_l2_error,
     solve_bpdn,
     truncated_walsh,

@@ -11,6 +11,7 @@ failure, 4 size-guard violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -42,10 +43,7 @@ DEFAULTS = {
     "policy": "uniform",
     "full_first": True,
     "seed": 0,
-    "delta": 1e-8,
-    "L": 1 << 12,
-    "max_iter": 5000,
-    "tol": 1e-6,
+    **dataclasses.asdict(ReconstructionConfig()),  # L, delta, max_iter, tol
     "clip": 99.0,
     "s": None,  # per-level sparsity estimate for analyze / weighted policy
 }
@@ -139,14 +137,6 @@ def _solver_config(cfg):
     return ReconstructionConfig(
         L=cfg["L"], delta=cfg["delta"], max_iter=cfg["max_iter"], tol=cfg["tol"]
     )
-
-
-def _reconstruct_once(op, scheme, sig, cfg):
-    """(result, synthesized grid, relative error, measurements) of one solve."""
-    g = reconstruct.measure_signal(sig, scheme, delta=0.0)
-    result = reconstruct.solve_bpdn(op, scheme, g, _solver_config(cfg))
-    grid = op.synthesize(result.coeffs)
-    return result, grid, reconstruct.relative_l2_error(grid, sig), g
 
 
 def _truncated_walsh(op, scheme, sig):
@@ -245,7 +235,7 @@ def cmd_analyze(args):
 def cmd_reconstruct(args):
     cfg = load_config(args.config, _overrides(args))
     op, levels, scheme, sig = _experiment_pieces(cfg)
-    result, grid, err, g = _reconstruct_once(op, scheme, sig, cfg)
+    result, grid, err, g = reconstruct.reconstruct_signal(op, sig, scheme, _solver_config(cfg))
     os.makedirs(args.out, exist_ok=True)
     tag = f"{cfg['signal']}_p{cfg['order']}_N{levels.N_r}_m{scheme.total}_seed{cfg['seed']}"
     write_matrix_csv(grid.reshape(1, -1), os.path.join(args.out, f"rec_{tag}.csv"))
@@ -288,7 +278,7 @@ def _error_table(cfg, column, changes, path):
     for label, change in changes:
         sub = {**cfg, **change}
         op, _, scheme, sig = _experiment_pieces(sub)
-        err = _reconstruct_once(op, scheme, sig, sub)[2]
+        err = reconstruct.reconstruct_signal(op, sig, scheme, _solver_config(sub))[2]
         rows.append((label, err, _truncated_walsh(op, scheme, sig)[1]))
     with open(path, "w") as fh:
         fh.write(f"{column},cs_error,tw_error\n")
@@ -316,8 +306,8 @@ def cmd_fliptest(args):
     op, levels, scheme, sig = _experiment_pieces(cfg)
     flipped = sampling.flip_pattern(scheme)
     os.makedirs(args.out, exist_ok=True)
-    grid, err = _reconstruct_once(op, scheme, sig, cfg)[1:3]
-    grid_f, err_f = _reconstruct_once(op, flipped, sig, cfg)[1:3]
+    grid, err = reconstruct.reconstruct_signal(op, sig, scheme, _solver_config(cfg))[1:3]
+    grid_f, err_f = reconstruct.reconstruct_signal(op, sig, flipped, _solver_config(cfg))[1:3]
     tag = f"{cfg['signal']}_N{levels.N_r}_m{scheme.total}_seed{cfg['seed']}"
     write_matrix_csv(grid.reshape(1, -1), os.path.join(args.out, f"flip_straight_{tag}.csv"))
     write_matrix_csv(grid_f.reshape(1, -1), os.path.join(args.out, f"flip_flipped_{tag}.csv"))

@@ -56,7 +56,7 @@ BATCH_ELEMENTS = 1 << 17
 
 
 class SizeGuardError(ValueError):
-    """Raised when a dense request exceeds the configured size guard."""
+    """Raised when a dense request or the grid exceeds the configured size guard."""
 
 
 @dataclass
@@ -90,7 +90,8 @@ class CobOperator:
 
     Rows are 0-based sequency indices (row 0 is the constant function);
     columns follow the level ordering: scaling block at J0 first, then
-    wavelet levels.  Column count is levels.M_r; rows live below 2^Q.
+    wavelet levels.  Column count is levels.M_r; rows live below 2^Q, and
+    a grid of more than SECTION_GUARD^2 cells raises SizeGuardError.
     synthesize, apply and apply_adjoint act along the last axis of their
     coefficient or value arrays; leading axes are a batch.
     """
@@ -105,6 +106,9 @@ class CobOperator:
         if self.Q < q_min:
             raise ValueError(f"grid exponent {self.Q} below required {q_min}")
         self.n_grid = 1 << self.Q
+        # the bound on every dense block also bounds the grid (Q <= 24)
+        if self.n_grid > SECTION_GUARD * SECTION_GUARD:
+            raise SizeGuardError(f"grid of 2^{self.Q} cells exceeds the {SECTION_GUARD}^2 guard")
 
     # -- fast paths ---------------------------------------------------------
 

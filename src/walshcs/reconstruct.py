@@ -6,7 +6,8 @@ splitting: the l1 term enters through soft thresholding and the constraint
 through Euclidean projection onto the delta-ball around g, both in closed
 form.  A is a row-and-column section of the orthogonal U, so ||A|| <= 1
 and the steps tau = sigma = 0.95 need no estimate.  The truncated Walsh
-series baseline and the error metric live here as well.
+series baseline, the error metric and reconstruct_signal, which measures a
+signal, solves and scores the solve, live here as well.
 
 A reaches the iteration by one of two routes, chosen from its size alone.
 When |Omega| * L is at most DENSE_SECTION_ELEMENTS (2^20 values, 8 MB),
@@ -243,6 +244,17 @@ def solve_bpdn(op, omega, g, cfg=None):
         applies=section.applies,
         adjoints=it,
     )
+
+
+def reconstruct_signal(op, f_grid, omega, cfg=None):
+    """The Walsh samples of f_grid at omega, their solve_bpdn (delta from
+    cfg) and its synthesis: (result, synthesized grid, relative l2 error
+    against f_grid, measurements).  The one measure-solve-score path of the
+    experiments."""
+    g = measure_signal(f_grid, omega)
+    result = solve_bpdn(op, omega, g, cfg)
+    grid = op.synthesize(result.coeffs)
+    return result, grid, relative_l2_error(grid, f_grid), g
 
 
 def truncated_walsh(samples_first_n, Q):

@@ -20,7 +20,7 @@ from walshcs.analysis import (
 from walshcs.operator import CobOperator, MeasurementVector
 from walshcs.reconstruct import (
     ReconstructionConfig,
-    measure_signal,
+    reconstruct_signal,
     relative_l2_error,
     solve_bpdn,
     truncated_walsh,
@@ -64,10 +64,8 @@ def _cs_run(op, signal_grid, R, q, budget, seed, L, max_iter=1200):
     m = allocate_budget(
         SparsityProfile(sparsity), levels, budget, policy="uniform", full_first=True
     )
-    scheme = draw_scheme(levels, m, seed)
-    g = measure_signal(signal_grid, scheme)
-    res = solve_bpdn(op, scheme, g, ReconstructionConfig(L=L, max_iter=max_iter))
-    return relative_l2_error(op.synthesize(res.coeffs), signal_grid), scheme
+    cfg = ReconstructionConfig(L=L, max_iter=max_iter)
+    return reconstruct_signal(op, signal_grid, draw_scheme(levels, m, seed), cfg)[2]
 
 
 def test_criterion_1_haar_exactness():
@@ -286,10 +284,8 @@ def test_criterion_7_reconstruction_quality(solver_op):
 
     f_errs, g_errs = [], []
     for seed in SEEDS:
-        ef, _ = _cs_run(solver_op, f_grid, R=5, q=1, budget=32, seed=seed, L=1 << 12)
-        eg, _ = _cs_run(solver_op, g_grid, R=7, q=1, budget=64, seed=seed, L=1 << 12)
-        f_errs.append(ef)
-        g_errs.append(eg)
+        f_errs.append(_cs_run(solver_op, f_grid, R=5, q=1, budget=32, seed=seed, L=1 << 12))
+        g_errs.append(_cs_run(solver_op, g_grid, R=7, q=1, budget=64, seed=seed, L=1 << 12))
     f_ok = sum(e <= 0.10 for e in f_errs)
     g_ok = sum(e <= 0.06 for e in g_errs)
     beat_f = sum(e < tw_f32 for e in f_errs)
@@ -333,7 +329,7 @@ def test_criterion_8_error_curve_monotone(solver_op):
     curves = []
     for seed in SEEDS:
         errs = [
-            _cs_run(solver_op, g_grid, R=7, q=q, budget=256, seed=seed, L=1 << 12)[0]
+            _cs_run(solver_op, g_grid, R=7, q=q, budget=256, seed=seed, L=1 << 12)
             for q in (1, 2, 3)
         ]
         curves.append(errs)
@@ -364,14 +360,8 @@ def test_criterion_9_flip_test():
         scheme = draw_scheme(levels, m, seed)
         flipped = flip_pattern(scheme)
         cfg = ReconstructionConfig(L=1 << 10, max_iter=1500)
-        e_straight = relative_l2_error(
-            op.synthesize(solve_bpdn(op, scheme, measure_signal(f_grid, scheme), cfg).coeffs),
-            f_grid,
-        )
-        e_flip = relative_l2_error(
-            op.synthesize(solve_bpdn(op, flipped, measure_signal(f_grid, flipped), cfg).coeffs),
-            f_grid,
-        )
+        e_straight = reconstruct_signal(op, f_grid, scheme, cfg)[2]
+        e_flip = reconstruct_signal(op, f_grid, flipped, cfg)[2]
         ratios.append(e_flip / e_straight)
         if e_flip >= 5.0 * e_straight:
             good += 1

@@ -1,10 +1,14 @@
 import json
 import os
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
 
-from walshcs.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, main
+from walshcs.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_NUMERICAL, EXIT_OK, main
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(args):
@@ -28,6 +32,17 @@ def test_matrix_outputs(tmp_path, capsys):
 def test_matrix_size_guard(tmp_path):
     code = run(["matrix", "--order", "1", "--N", str(1 << 13), "--out", str(tmp_path)])
     assert code == EXIT_GUARD
+
+
+def test_grid_size_guard(tmp_path, capsys):
+    # R = 24 needs a 2^30 grid: refused when the operator is built, before
+    # the signal is rasterized or an output directory made
+    out = tmp_path / "r"
+    argv = ["reconstruct", "--signal", "g", "--order", "4", "--R", "24", "--q", "3",
+            "--budget", "64", "--out", str(out)]
+    assert run(argv) == EXIT_GUARD
+    assert capsys.readouterr().err.startswith("size guard")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -82,6 +97,35 @@ def test_reconstruct_full_pipeline(tmp_path):
     assert record["applies"] == 0 and record["adjoints"] == record["iterations"]
     for prefix in ("rec_", "coeffs_", "tw_", "pattern_"):
         assert any(n.startswith(prefix) for n in os.listdir(out))
+
+
+def test_reconstruct_gross_infeasibility_exits_3(tmp_path):
+    # one iteration leaves the solve far from the data; the summary is
+    # still written
+    cfgfile = tmp_path / "one.cfg"
+    cfgfile.write_text("max_iter = 1\n")
+    out = tmp_path / "r"
+    code = run(
+        [
+            "reconstruct", "--signal", "g", "--order", "4", "--R", "7", "--q", "1",
+            "--budget", "64", "--seed", "0", "--config", str(cfgfile), "--out", str(out),
+        ]
+    )
+    assert code == EXIT_NUMERICAL
+    record = json.loads((out / "summary_g_p4_N256_m64_seed0.json").read_text())
+    assert record["iterations"] == 1 and record["feasibility_gap"] > 0.1
+
+
+def test_readme_examples_run(tmp_path):
+    # every command of the README's example block, with its output under
+    # tmp_path and the solver capped at 50 iterations
+    cfgfile = tmp_path / "short.cfg"
+    cfgfile.write_text("max_iter = 50\n")
+    lines = [line for line in README.read_text().splitlines() if line.startswith("walshcs ")]
+    assert len(lines) == 6
+    for line in lines:
+        argv = shlex.split(line.replace("out/", f"{tmp_path}/"))[1:]
+        assert run([*argv, "--config", str(cfgfile)]) == EXIT_OK, line
 
 
 def test_reconstruct_reproducible(tmp_path):

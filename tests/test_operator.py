@@ -384,3 +384,8 @@ def test_grid_exponent_guard():
     with pytest.raises(ValueError):
         CobOperator(basis, lv, Q=5)
     assert CobOperator(basis, lv).Q == 7
+    # a grid of more than SECTION_GUARD^2 cells raises; construction
+    # allocates nothing of grid size either way
+    with pytest.raises(SizeGuardError):
+        CobOperator(basis, lv, Q=25)
+    assert CobOperator(basis, lv, Q=24).n_grid == 1 << 24

@@ -8,6 +8,7 @@ from walshcs.operator import CobOperator, MeasurementVector
 from walshcs.reconstruct import (
     ReconstructionConfig,
     measure_signal,
+    reconstruct_signal,
     relative_l2_error,
     solve_bpdn,
     truncated_walsh,
@@ -278,9 +279,8 @@ def benchmark_shape_solve(q, budget, max_iter=60):
     m = allocate_budget(
         SparsityProfile(sparsity), levels, budget, policy="uniform", full_first=True
     )
-    scheme = draw_scheme(levels, m, 0)
-    g = measure_signal(signal_jump(op.Q), scheme)
-    return solve_bpdn(op, scheme, g, ReconstructionConfig(L=1 << 12, max_iter=max_iter))
+    cfg = ReconstructionConfig(L=1 << 12, max_iter=max_iter)
+    return reconstruct_signal(op, signal_jump(op.Q), draw_scheme(levels, m, 0), cfg)[0]
 
 
 def digest(coeffs):
