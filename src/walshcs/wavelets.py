@@ -1,6 +1,15 @@
 """Boundary-corrected Daubechies wavelet bases on [0,1].
 
-Filters are generated at build time rather than read from published tables.
+The filters come from this module's own high-precision construction, not
+from published tables.  Its double-precision output for every supported
+order is stored in _filter_table.py, which every basis reads, so no basis
+runs or imports mpmath; test_filters_are_pinned checks the table against the
+construction bit for bit, and from the repository root
+
+    PYTHONPATH=src python3 -c "from walshcs.wavelets import _filter_table_text as t; print(t(), end='')" > src/walshcs/_filter_table.py
+
+rewrites it.
+
 The interior filter comes from spectral factorization in high precision.
 Edge scaling functions start from binomial combinations of scaling-function
 translates clipped to the interval.  The Gram matrix G of the clipped
@@ -24,6 +33,7 @@ are the two dropped interior functions.
 from __future__ import annotations
 
 import math
+import textwrap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,13 +98,14 @@ def _daubechies_mp(p):
 def daubechies_filter(p):
     """Orthonormal Daubechies (extremal phase) scaling filter of order p.
 
-    Returns the length-2p filter normalized so that sum(h) = sqrt(2),
-    computed by spectral factorization in high precision and rounded to
-    double.  Index i corresponds to offset t = i - p + 1.
+    Returns a fresh length-2p filter normalized so that sum(h) = sqrt(2):
+    the spectral factorization of _daubechies_mp in high precision, rounded
+    to double and read from _filter_table.py.  Index i corresponds to
+    offset t = i - p + 1.
     """
     if p not in _SUPPORTED_ORDERS:
         raise ValueError(f"unsupported wavelet order {p} (allowed: {_SUPPORTED_ORDERS})")
-    return _filters_for_order(p)[0].copy()
+    return _filters_for_order(p)[0]
 
 
 def wavelet_filter_from_scaling(h):
@@ -388,20 +399,55 @@ def _band_transpose(v, band, step, out, product):
     return out
 
 
-_FILTER_CACHE = {}
+def _filters_mp(p):
+    """(h, HL, HR) of order p from the high-precision construction, rounded
+    to double: the reference that _filter_table.py stores."""
+    import mpmath as mp
+
+    with mp.workdps(_edge_dps(p)):
+        h_mp = _daubechies_mp(p)
+        hl = _edge_system(h_mp, mp)
+        hr = _edge_system(list(reversed(h_mp)), mp)
+    return np.array([float(x) for x in h_mp]), hl, hr
+
+
+def _filter_table_text(filters=None):
+    """Source text of _filter_table.py for `filters`, a map from order to
+    (h, HL, HR), by default _filters_mp of every supported order.  Each
+    float is written by repr, which parses back to the same bits."""
+    if filters is None:
+        filters = {p: _filters_mp(p) for p in _SUPPORTED_ORDERS}
+
+    def row(values, indent):
+        pad = " " * indent
+        text = ", ".join(repr(float(x)) for x in values)
+        return textwrap.fill(f"({text}),", 88, initial_indent=pad, subsequent_indent=pad + " ")
+
+    lines = [
+        '"""Boundary-corrected Daubechies filters (h, HL, HR) by order, written by',
+        "walshcs.wavelets._filter_table_text from the high-precision construction",
+        "of that module.  Do not edit; regenerate from the repository root with",
+        "",
+        "    PYTHONPATH=src python3 -c \"from walshcs.wavelets import _filter_table_text as t;"
+        " print(t(), end='')\" > src/walshcs/_filter_table.py",
+        '"""',
+        "",
+        "FILTERS = {",
+    ]
+    for p, (h, hl, hr) in filters.items():
+        lines += [f"    {p}: (", row(h, 8)]
+        for block in (hl, hr):
+            lines += ["        (", *(row(r, 12) for r in block), "        ),"]
+        lines.append("    ),")
+    return "\n".join(lines + ["}", ""])
 
 
 def _filters_for_order(p):
-    if p not in _FILTER_CACHE:
-        import mpmath as mp
+    """(h, HL, HR) of order p as fresh arrays read from _filter_table.py."""
+    # imported here, so that the generator above runs while the table is rewritten
+    from ._filter_table import FILTERS
 
-        with mp.workdps(_edge_dps(p)):
-            h_mp = _daubechies_mp(p)
-            hl = _edge_system(h_mp, mp)
-            hr = _edge_system(list(reversed(h_mp)), mp)
-        h = np.array([float(x) for x in h_mp])
-        _FILTER_CACHE[p] = (h, hl, hr)
-    return _FILTER_CACHE[p]
+    return tuple(np.array(a) for a in FILTERS[p])
 
 
 def build_basis(p, J0):

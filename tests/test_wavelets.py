@@ -1,4 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -6,13 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import walshcs._filter_table
 from walshcs.walsh import Scratch, fwht_sequency
 from walshcs.wavelets import (
+    _SUPPORTED_ORDERS,
     LevelStructure,
     _crossing_gram,
     _daubechies_mp,
     _edge_dps,
+    _filter_table_text,
     _filters_for_order,
+    _filters_mp,
     _refinement_matrix,
     build_basis,
     cascade_tabulate,
@@ -93,10 +102,50 @@ FILTER_DIGESTS = {
 
 @pytest.mark.parametrize("p", sorted(FILTER_DIGESTS))
 def test_filters_are_pinned(p):
-    digest = hashlib.sha256()
-    for a in _filters_for_order(p):
-        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    assert digest.hexdigest()[:16] == FILTER_DIGESTS[p]
+    # the table the bases read and the high-precision construction that
+    # wrote it agree bit for bit and hash to the pinned digest
+    table, reference = _filters_for_order(p), _filters_mp(p)
+    for filters in (table, reference):
+        digest = hashlib.sha256()
+        for a in filters:
+            digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        assert digest.hexdigest()[:16] == FILTER_DIGESTS[p]
+    for a, b in zip(table, reference):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    # the checked-in file is the generator's text of what it holds, so with
+    # the check above for every order it is the generator's text of the
+    # construction
+    held = {q: _filters_for_order(q) for q in _SUPPORTED_ORDERS}
+    assert Path(walshcs._filter_table.__file__).read_text() == _filter_table_text(held)
+
+
+def test_bases_run_without_mpmath():
+    # a fresh interpreter imports the package and the CLI, builds every
+    # supported order at its minimal level and applies its operator once
+    # without importing mpmath
+    code = textwrap.dedent(
+        """
+        import sys
+
+        import numpy as np
+
+        import walshcs
+        import walshcs.cli
+        from walshcs import CobOperator, LevelStructure, build_basis
+
+        for p in walshcs.wavelets._SUPPORTED_ORDERS:
+            J0 = (2 * p - 2).bit_length()
+            op = CobOperator(build_basis(p, J0), LevelStructure(J0, 2))
+            y = op.apply(np.ones(op.levels.M_r), np.arange(4))
+            assert np.all(np.isfinite(y))
+        assert "mpmath" not in sys.modules, "mpmath was imported"
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_build_basis_rejects_bad_orders():
