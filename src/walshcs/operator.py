@@ -20,15 +20,21 @@ differs (about 1e-15 relative).  apply_adjoint is its transpose: scatter at
 2^m, inverse transform, B^T, analysis from level m, skipping the wavelet
 levels at or above L.  When a sample reaches 2^(Q-1), m = Q, B is the
 identity and is not applied, and the full-grid operations run unchanged.
+The same identity inside the inverse transform: with every sample below
+2^k, k < m, walsh.ifwht_sequency transforms at 2^k and repeats each value
+2^(m-k) times, which equals the transform at 2^m bit for bit.
 
 Workspace: a caller that takes many products at one index set (an
 iterative solver, the Lanczos steps of analysis.tail_norm) builds one
 Workspace and passes it to apply and apply_adjoint, with the omega (and L)
 it was built for; another omega or L raises.  It checks omega once, fixes
 m and keeps every 2^m-sized array the transforms need in a walsh.Scratch,
-so the products allocate nothing of grid size; the Scratch holds omega
-folded into the Hadamard order of the sequency transform, so apply gathers
-|omega| values and apply_adjoint scatters them onto a zeroed grid.
+so the products allocate nothing of grid size (test_operator.py checks it
+with tracemalloc); the Scratch holds omega folded into the Hadamard order
+of the sequency transform, so apply gathers |omega| values and
+apply_adjoint scatters them onto a zeroed grid of 2^k cells.  rows_dense
+builds one Workspace for all of its rows and passes it one-hot values for
+each batch of them.
 Whoever builds a Workspace owns it; CobOperator keeps no state.  A product
 with a Workspace runs the same floating-point operations in the same order
 as one without (which builds a fresh Workspace for the call), so the two
@@ -224,16 +230,18 @@ class CobOperator:
 
     def rows_dense(self, rows, M):
         """The sampled section P_rows U P_M as a dense |rows| x M array, from
-        adjoint calls on unit samples over batches of rows (see batches).
-        rows is checked as apply checks it: repeats and indices off the grid
-        raise."""
-        rows = self._check_omega(rows)
+        adjoint calls over batches of rows (see batches) on one Workspace of
+        all the rows, each of one-hot values at the batch's rows.  rows is
+        checked as apply checks it: repeats and indices off the grid raise."""
+        rows = np.asarray(rows, dtype=np.int64)
         if rows.size * M > SECTION_GUARD * SECTION_GUARD:
             raise SizeGuardError("requested row block exceeds the size guard")
+        work = Workspace(self, rows, M)
         out = np.empty((rows.size, M))
         for batch in self.batches(rows.size):
-            k = batch.stop - batch.start
-            out[batch] = self.apply_adjoint(np.eye(k), rows[batch], L=M)
+            one_hot = np.zeros((batch.stop - batch.start, rows.size))
+            one_hot[:, batch] = np.eye(batch.stop - batch.start)
+            out[batch] = self.apply_adjoint(one_hot, work.omega, work=work)
         return out
 
 

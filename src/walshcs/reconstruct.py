@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operator import MeasurementVector, Workspace
-from .walsh import fwht_sequency, ifwht_sequency
+from .walsh import Scratch, fwht_sequency, ifwht_sequency
 
 # |Omega| * L up to which solve_bpdn forms the sampled section explicitly
 # (float64 values, 8 MB), and the most values the matrix-free route's column
@@ -258,18 +258,13 @@ def reconstruct_signal(op, f_grid, omega, cfg=None):
 
 
 def truncated_walsh(samples_first_n, Q):
-    """Inverse sequency transform of the zero-padded first-N sample vector.
-
-    Walsh functions below 2^k are constant on cells of width 2^-k, so the
-    transform runs at the smallest such 2^k and each value is repeated over
-    the 2^(Q-k) grid cells of its cell."""
+    """Inverse sequency transform of the zero-padded first-N sample vector
+    on the 2^Q grid: ifwht_sequency at the rows below N, which runs at the
+    band of those rows."""
     samples = np.asarray(samples_first_n, dtype=float)
     if samples.size > (1 << Q):
         raise ValueError("more samples than grid cells")
-    k = max(samples.size - 1, 0).bit_length()
-    padded = np.zeros(1 << k)
-    padded[: samples.size] = samples
-    return np.repeat(ifwht_sequency(padded), 1 << (Q - k))
+    return ifwht_sequency(samples, Scratch(np.arange(samples.size), Q))
 
 
 def relative_l2_error(estimate, reference):

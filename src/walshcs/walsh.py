@@ -189,7 +189,10 @@ class Scratch:
     _sequency_perm), fwht_sequency of a (..., 2^J) array returns only its
     values at those rows, and ifwht_sequency reads (..., |rows|)
     coefficients at them, the others being zero (of a repeated row it keeps
-    one value).  Whoever passes a Scratch to a transform owns it.
+    one value).  band is the least k with every row below 2^k; the rows
+    then fold to multiples of 2^(J-k), and band_rows holds them divided by
+    2^(J-k), their Hadamard positions at the length 2^k.  Whoever passes a
+    Scratch to a transform owns it.
     """
 
     def __init__(self, rows=None, J=None):
@@ -202,6 +205,8 @@ class Scratch:
             if rows.size and (rows.min() < 0 or rows.max() >> J):
                 raise ValueError(f"sequency rows must lie in [0, 2^{J})")
             self.rows = _sequency_perm(J)[rows]
+            self.band = int(rows.max(initial=0)).bit_length()
+            self.band_rows = self.rows >> (J - self.band)
 
     def array(self, name, shape):
         size = math.prod(shape)
@@ -276,14 +281,28 @@ def fwht_sequency(v, work=None):
     v = np.asarray(v, dtype=float)
     j = _check_length(v.shape)
     work = Scratch() if work is None else work
-    return np.take(_hadamard(v, work), _hadamard_rows(j, work), axis=-1) / v.shape[-1]
+    rows, width = _hadamard_rows(j, work), math.prod(v.shape[:-1])
+    out = np.empty(v.shape[:-1] + rows.shape)
+    # gathered along the transform axis of the (2^J, batch) array _hadamard
+    # holds: np.take along the last axis of its view copies that array first
+    hadamard = _hadamard(v, work).reshape(width, 1 << j).T
+    np.divide(hadamard[rows].T, 1 << j, out=out.reshape(width, rows.size))
+    return out
 
 
 def ifwht_sequency(c, work=None):
     """Inverse of fwht_sequency: v[j] = sum_n c[n] * Wal(n, j / 2^J),
     along the last axis.  Given a Scratch with rows, c holds the
     coefficients at its rows (the others are zero) and J is the Scratch's;
-    given any Scratch, the result lives in it."""
+    given any Scratch, the result lives in it.
+
+    Rows below 2^k with k < J (the Scratch's band) give a v constant on
+    runs of 2^(J-k) values (Wal(n, .) with n < 2^k is constant on cells of
+    width 2^-k), so the transform runs at the length 2^k and repeats each
+    value 2^(J-k) times.  At 2^J the first J - k butterfly stages only add
+    and subtract zeros, which leaves every value as it is but a -0.0, which
+    turns +0.0 in all but the last value of its run: coefficients with a
+    -0.0 among them run at 2^J, so the result is the same bit for bit."""
     c = np.asarray(c, dtype=float)
     work = Scratch() if work is None else work
     if work.rows is None:
@@ -292,10 +311,21 @@ def ifwht_sequency(c, work=None):
         j = work.J
     else:
         raise ValueError(f"coefficients at {work.rows.size} rows, got shape {c.shape}")
-    grid = work.array("sequency.grid", c.shape[:-1] + (1 << j,))
+    if work.rows is None or work.band == j or np.signbit(c[c == 0.0]).any():
+        k, rows = j, _hadamard_rows(j, work)
+    else:
+        k, rows = work.band, work.band_rows
+    grid = work.array("sequency.grid", c.shape[:-1] + (1 << k,))
     grid[...] = 0.0
-    grid.T[_hadamard_rows(j, work)] = c.T  # along the last axis, without an Ellipsis index
-    return _hadamard(grid, work)
+    grid.T[rows] = c.T  # along the last axis, without an Ellipsis index
+    v = _hadamard(grid, work)
+    if k == j:
+        return v
+    # the values repeated into the grid, in the layout _hadamard returns at 2^J
+    width = math.prod(c.shape[:-1])
+    grid = work.array("sequency.grid", (1 << k, 1 << (j - k), width))
+    grid[...] = v.reshape(width, 1 << k).T[:, None, :]
+    return grid.reshape(1 << j, width).T.reshape(c.shape[:-1] + (1 << j,))
 
 
 @dataclass(frozen=True)

@@ -281,14 +281,15 @@ class WaveletBasis:
         """Apply the level -> level+1 map of `kind` to coefficients c."""
         c = np.asarray(c, dtype=float).T
         out = np.empty((2 * c.shape[0],) + c.shape[1:])
-        return _band_apply(c, self._level_map(c.shape[0], kind), 2, out, np.empty(c.shape)).T
+        return _band_apply(c, self._level_map(c.shape[0], kind), 2, out, Scratch()).T
 
     def analysis(self, v, kind="scaling"):
         """Transpose of synthesis (level+1 -> level)."""
         v = np.asarray(v, dtype=float).T
         out = np.empty((v.shape[0] // 2,) + v.shape[1:])
+        work = Scratch()
         band = self._level_map(out.shape[0], kind)
-        return _band_transpose(v, band, 2, out, np.empty(out.shape)).T
+        return _band_transpose(v, _even_odd(v, work), band, out, work).T
 
     def _average_map(self, depth):
         """B_depth as (taps, left, right) like _level_map: 2p - 1 interior
@@ -319,15 +320,14 @@ class WaveletBasis:
         Given a Scratch, the result lives in it."""
         v = np.asarray(v, dtype=float).T
         work = Scratch() if work is None else work
-        out, product = work.array("average", v.shape), work.array("band", v.shape)
-        return _band_apply(v, self._average_map(depth), 1, out, product).T
+        return _band_apply(v, self._average_map(depth), 1, work.array("average", v.shape), work).T
 
     def average_adjoint(self, w, depth, work=None):
         """Transpose of average."""
         w = np.asarray(w, dtype=float).T
         work = Scratch() if work is None else work
-        out, product = work.array("average_adjoint", w.shape), work.array("band", w.shape)
-        return _band_transpose(w, self._average_map(depth), 1, out, product).T
+        out = work.array("average_adjoint", w.shape)
+        return _band_transpose(w, w[None], self._average_map(depth), out, work).T
 
     def _edge_wavelets(self, n0):
         """Edge wavelets of the level of size n0, as rows over the 2 * n0
@@ -356,43 +356,79 @@ def _matmul_lead(m, x):
 # coefficients go to step * n0 values; interior coefficient s adds
 # taps[i] * c[s] at step * s + i - p + 1, the first p coefficients (the p
 # rows of left) go through the left block and the last p, mirrored, through
-# the right one.  Both directions act on the leading axis and write their
-# result into out, which they return; each product of a tap with the
-# interior goes through `product`, an array of at least n0 - 2p leading
-# rows.  The bodies index the leading axis with plain slices, which numpy
-# resolves faster than slices behind an Ellipsis.
+# the right one.  Both directions act on the leading axis, write their
+# result into out, which they return, and take their working arrays from
+# the Scratch work.  They run in polyphase form, on a (step, n0, ...) array
+# whose phase i holds the values at the rows i, i + step, ... (for step 1,
+# the values themselves), so that tap i reads, or adds into, one contiguous
+# run of rows of phase (i - p + 1) mod step.  _band_transpose is given the
+# phases of what it reads (dwt_forward splits each level once for both of
+# its maps); _band_apply accumulates the phases of what it writes and
+# interleaves them into out once.  Every value gets the same operations in
+# the same order as on the interleaved rows: zero, the edge blocks, then
+# the taps in order, each product of a tap with the interior formed in the
+# array "band" of work; the edge blocks' matrix products read the values as
+# given, since their rounding depends on the layout of what they read.  The
+# bodies index the leading axis with plain slices, which numpy resolves
+# faster than slices behind an Ellipsis.
 
 
-def _band_apply(c, band, step, out, product):
+def _even_odd(v, work):
+    """The phases of the values v of a step-2 map: its even and odd rows
+    (leading axis) in the C-ordered array "band.phases" of the Scratch work."""
+    n0 = v.shape[0] // 2
+    phases = work.array("band.phases", (2, n0) + v.shape[1:])
+    np.copyto(phases, v.reshape((n0, 2) + v.shape[1:]).swapaxes(0, 1))
+    return phases
+
+
+def _add_rows(phases, start, block):
+    """Add block, the values at the rows start, start + 1, ..., to the
+    phases that hold those rows."""
+    step = len(phases)
+    for i, phase in enumerate(phases):
+        first = (i - start) % step
+        rows = block[first::step]
+        lo = (start + first) // step
+        phase[lo : lo + rows.shape[0]] += rows
+
+
+def _band_apply(c, band, step, out, work):
     taps, left, right = band
     p = left.shape[0]
     n0 = c.shape[0]
-    n1 = step * n0
-    out[...] = 0.0
-    out[: left.shape[1]] += _matmul_lead(left.T, c[:p])
-    out[n1 - right.shape[1] :] += _matmul_lead(right.T, c[n0 - p :][::-1])
+    phases = out[None] if step == 1 else work.array("band.phases", (step,) + c.shape)
+    phases[...] = 0.0
+    _add_rows(phases, 0, _matmul_lead(left.T, c[:p]))
+    _add_rows(phases, step * n0 - right.shape[1], _matmul_lead(right.T, c[n0 - p :][::-1]))
     if n0 > 2 * p:
         mid = c[p : n0 - p]
-        product = product[: n0 - 2 * p]
+        product = work.array("band", mid.shape)
         for i, tap in enumerate(taps):
             t = i - p + 1
+            lo = p + t // step
             np.multiply(mid, tap, product)
-            out[step * p + t : step * (n0 - p) + t : step] += product
+            phases[t % step, lo : lo + n0 - 2 * p] += product
+    if step > 1:
+        for i, phase in enumerate(phases):
+            out[i::step] = phase
     return out
 
 
-def _band_transpose(v, band, step, out, product):
+def _band_transpose(v, phases, band, out, work):
     taps, left, right = band
     p = left.shape[0]
+    step = len(phases)
     n1 = v.shape[0]
     n0 = n1 // step
     out[...] = 0.0
     if n0 > 2 * p:
         interior = out[p : n0 - p]
-        product = product[: n0 - 2 * p]
+        product = work.array("band", interior.shape)
         for i, tap in enumerate(taps):
             t = i - p + 1
-            np.multiply(v[step * p + t : step * (n0 - p) + t : step], tap, product)
+            lo = p + t // step
+            np.multiply(phases[t % step, lo : lo + n0 - 2 * p], tap, product)
             interior += product
     out[:p] += _matmul_lead(left, v[: left.shape[1]])
     out[n0 - p :] += _matmul_lead(right, v[n1 - right.shape[1] :])[::-1]
@@ -551,15 +587,15 @@ def dwt_forward(samples, basis, top=None, work=None):
     # the levels in the band maps' layout: even and odd scaling ones, wavelets
     scalings = [work.array(f"dwt_forward.{i}", (n // 2,) + c.shape[1:]) for i in range(2)]
     wavelets = work.array("dwt_forward.wavelet", (1 << (top - 1),) + c.shape[1:])
-    product = work.array("band", (n // 2,) + c.shape[1:])
     out = np.empty(v.shape[:-1] + (1 << top,))
     for j in range(big_q - 1, r0 - 1, -1):
+        phases = _even_odd(c, work)
         if j < top:
             wavelet = wavelets[: 1 << j]
-            _band_transpose(c, basis._level_map(1 << j, "wavelet"), 2, wavelet, product)
+            _band_transpose(c, phases, basis._level_map(1 << j, "wavelet"), wavelet, work)
             out[..., 1 << j : 1 << (j + 1)] = wavelet.T
         scaling = scalings[j % 2][: 1 << j]
-        c = _band_transpose(c, basis._level_map(1 << j, "scaling"), 2, scaling, product)
+        c = _band_transpose(c, phases, basis._level_map(1 << j, "scaling"), scaling, work)
     out[..., : 1 << r0] = c.T
     return out
 
@@ -584,14 +620,13 @@ def dwt_inverse(coeffs, basis, Q, work=None):
     # the levels in the band maps' layout: even and odd scaling ones, wavelets
     scalings = [work.array(f"dwt_inverse.{i}", (1 << Q,) + c.shape[1:]) for i in range(2)]
     wavelets = work.array("dwt_inverse.wavelet", (1 << top,) + c.shape[1:])
-    product = work.array("band", (1 << (Q - 1),) + c.shape[1:])
     for j in range(r0, Q):
         c2 = scalings[j % 2][: 2 << j]
-        _band_apply(c, basis._level_map(1 << j, "scaling"), 2, c2, product)
+        _band_apply(c, basis._level_map(1 << j, "scaling"), 2, c2, work)
         if j < top:
             wavelet = coeffs[..., 1 << j : 1 << (j + 1)].T
             c2 += _band_apply(
-                wavelet, basis._level_map(1 << j, "wavelet"), 2, wavelets[: 2 << j], product
+                wavelet, basis._level_map(1 << j, "wavelet"), 2, wavelets[: 2 << j], work
             )
         c = c2
     c *= 2.0 ** (Q / 2.0)

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -272,6 +273,34 @@ def test_haar_section_block_diagonal():
     closed = haar_closed_form(op)[:16]
     assert np.max(np.abs(np.abs(s) - closed)) < 1e-12
 
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_warm_workspace_products_allocate_less_than_a_grid(p):
+    # the Workspace contract: once its arrays exist, apply and apply_adjoint
+    # allocate nothing of grid size, at a working scale below Q (band maps,
+    # the inverse transform at its rows' band) and at Q.  A numpy ufunc on
+    # strided operands may buffer each in 8192 values of its own (64 kB, up
+    # to three at once, whatever the grid), so the grid has 2^16 cells, 512 kB
+    op = haar_op(r=5, Q=16) if p == 1 else db_op(p, Q=16)
+    rng = np.random.default_rng(40 + p)
+    grid_bytes = op.n_grid * np.dtype(float).itemsize
+    for band in (1 << (op.Q - 4), op.n_grid):
+        omega = rng.choice(band, 24, replace=False)
+        work = Workspace(op, omega)
+        for batch in ((), (3,)):
+            x = rng.standard_normal((*batch, op.levels.M_r))
+            y = rng.standard_normal((*batch, omega.size))
+            op.apply(x, omega, work=work)
+            op.apply_adjoint(y, omega, work=work)
+            tracemalloc.start()
+            try:
+                op.apply(x, omega, work=work)
+                op.apply_adjoint(y, omega, work=work)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < grid_bytes
 
 @settings(max_examples=10, deadline=None)
 @given(

@@ -269,6 +269,29 @@ def test_scratch_rows_match_the_full_transforms(batch):
             ifwht_sequency(np.zeros((*batch, rows.size + 1)), work)
 
 
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+def test_ifwht_at_the_band_of_its_rows(batch):
+    # rows below 2^k with k < J transform at 2^k and repeat each value:
+    # the full transform's bytes, signed zeros and result layout included
+    rng = np.random.default_rng(8 + len(batch))
+    big_j = 11
+    for k in (0, 1, big_j - 1, big_j):
+        rows = np.append(rng.choice(1 << k, (1 << k) // 3, replace=False), (1 << k) - 1)
+        rows = np.unique(rows)
+        work = Scratch(rows, big_j)
+        assert work.band == k
+        c = rng.standard_normal((*batch, rows.size))
+        signed = c.copy()
+        signed.flat[:: 3] = 0.0
+        signed.flat[1 :: 3] = -0.0
+        for coeffs in (c, np.asfortranarray(c), signed, np.repeat(c, 2, axis=-1)[..., ::2]):
+            full = np.zeros((*batch, 1 << big_j))
+            full[..., rows] = coeffs
+            expect = ifwht_sequency(full)
+            got = ifwht_sequency(coeffs, work)
+            assert got.tobytes() == expect.tobytes() and got.strides == expect.strides
+
 def test_scratch_rejects_bad_rows():
     for rows, j in (([0, 2], None), ([[0, 1]], 2), ([-1], 2), ([4], 2)):
         with pytest.raises(ValueError):

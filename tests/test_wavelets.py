@@ -16,12 +16,16 @@ from walshcs.walsh import Scratch, fwht_sequency
 from walshcs.wavelets import (
     _SUPPORTED_ORDERS,
     LevelStructure,
+    _band_apply,
+    _band_transpose,
     _crossing_gram,
     _daubechies_mp,
     _edge_dps,
+    _even_odd,
     _filter_table_text,
     _filters_for_order,
     _filters_mp,
+    _matmul_lead,
     _refinement_matrix,
     build_basis,
     cascade_tabulate,
@@ -313,6 +317,86 @@ def test_dwt_equals_level_loop_with_and_without_scratch(p):
         expect = reference_dwt_inverse(coeffs, basis, q)
         assert np.array_equal(dwt_inverse(coeffs, basis, q), expect)
         assert np.array_equal(dwt_inverse(coeffs, basis, q, work=work), expect)
+
+
+def strided_band_apply(c, band, step, out, product):
+    # the band map on the interleaved rows, each tap writing every step-th
+    # row: the reference the polyphase body must equal bit for bit
+    taps, left, right = band
+    p = left.shape[0]
+    n0 = c.shape[0]
+    n1 = step * n0
+    out[...] = 0.0
+    out[: left.shape[1]] += _matmul_lead(left.T, c[:p])
+    out[n1 - right.shape[1] :] += _matmul_lead(right.T, c[n0 - p :][::-1])
+    if n0 > 2 * p:
+        mid = c[p : n0 - p]
+        product = product[: n0 - 2 * p]
+        for i, tap in enumerate(taps):
+            t = i - p + 1
+            np.multiply(mid, tap, product)
+            out[step * p + t : step * (n0 - p) + t : step] += product
+    return out
+
+
+def strided_band_transpose(v, band, step, out, product):
+    taps, left, right = band
+    p = left.shape[0]
+    n1 = v.shape[0]
+    n0 = n1 // step
+    out[...] = 0.0
+    if n0 > 2 * p:
+        interior = out[p : n0 - p]
+        product = product[: n0 - 2 * p]
+        for i, tap in enumerate(taps):
+            t = i - p + 1
+            np.multiply(v[step * p + t : step * (n0 - p) + t : step], tap, product)
+            interior += product
+    out[:p] += _matmul_lead(left, v[: left.shape[1]])
+    out[n0 - p :] += _matmul_lead(right, v[n1 - right.shape[1] :])[::-1]
+    return out
+
+
+def band_map_inputs(rng, n):
+    # values along the leading axis: 1-D, batched in C and Fortran order and
+    # strided, with zeros of both signs among them
+    stack = rng.standard_normal((n, 2, 3))
+    stack[rng.random(stack.shape) < 0.2] = 0.0
+    stack[rng.random(stack.shape) < 0.2] = -0.0
+    return (
+        stack[:, 0, 0].copy(),
+        stack[:, 0, :].copy(),
+        stack,
+        np.asfortranarray(stack),
+        stack.transpose(0, 2, 1),
+        np.concatenate([stack, stack])[::2],
+        stack[:, 1, :],
+    )
+
+
+@pytest.mark.parametrize("p", _SUPPORTED_ORDERS)
+def test_polyphase_band_maps_equal_strided_bodies(p):
+    # both directions of every level map (from the edge-only level n0 = 2p,
+    # whose wavelets are the dedicated completion, up) and of the average
+    # maps, against the strided bodies, byte for byte: signed zeros included
+    basis = _basis(p)
+    rng = np.random.default_rng(30 + p)
+    sizes = (1, 2, 64) if p == 1 else (2 * p, 4 * p, 64)
+    maps = [(basis._level_map(n0, kind), 2, n0) for n0 in sizes for kind in ("scaling", "wavelet")]
+    maps += [(basis._average_map(d), 1, n0) for d in (0, 1, 3) for n0 in (max(4 * p - 2, 2), 64)]
+    work = Scratch()
+    for band, step, n0 in maps:
+        for c in band_map_inputs(rng, n0):
+            fine = (step * n0,) + c.shape[1:]
+            expect = strided_band_apply(c, band, step, np.empty(fine), np.empty(c.shape))
+            got = _band_apply(c, band, step, np.empty(fine), work)
+            assert got.tobytes() == expect.tobytes()
+        for v in band_map_inputs(rng, step * n0):
+            coarse = (n0,) + v.shape[1:]
+            expect = strided_band_transpose(v, band, step, np.empty(coarse), np.empty(coarse))
+            phases = v[None] if step == 1 else _even_odd(v, work)
+            got = _band_transpose(v, phases, band, np.empty(coarse), work)
+            assert got.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("p", [1, 3, 4, 5, 6, 7, 8, 9, 10])
